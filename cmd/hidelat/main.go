@@ -122,6 +122,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -130,7 +131,6 @@ import (
 
 	"dynsched"
 	"dynsched/internal/apps"
-	"dynsched/internal/bpred"
 	"dynsched/internal/cache"
 	"dynsched/internal/consistency"
 	"dynsched/internal/cpu"
@@ -138,7 +138,6 @@ import (
 	"dynsched/internal/dist"
 	"dynsched/internal/exp"
 	"dynsched/internal/obs"
-	"dynsched/internal/trace"
 )
 
 func main() {
@@ -221,7 +220,11 @@ func run(args []string) error {
 	}
 
 	// Validate resource flags up front: a bad value should be a usage error
-	// now, not a confusing failure three simulations in.
+	// now, not a confusing failure three simulations in. An explicit
+	// -tracecpu must name a simulated processor; only the default wraps
+	// (processor 1 of a one-processor machine is processor 0).
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	switch {
 	case *workers < 0:
 		return fmt.Errorf("-j must be >= 0, got %d", *workers)
@@ -231,8 +234,10 @@ func run(args []string) error {
 		return fmt.Errorf("-timeout must be >= 0, got %v", *timeout)
 	case *cpus <= 0:
 		return fmt.Errorf("-cpus must be >= 1, got %d", *cpus)
-	case *traceCPU < 0:
-		return fmt.Errorf("-tracecpu must be >= 0, got %d", *traceCPU)
+	case *traceCPU < 0 || set["tracecpu"] && *traceCPU >= *cpus:
+		return fmt.Errorf("-tracecpu must be in [0,%d) for -cpus %d, got %d", *cpus, *cpus, *traceCPU)
+	case *latency < 1 || *latency > math.MaxUint32:
+		return fmt.Errorf("-latency must be in [1,%d] cycles, got %d", uint32(math.MaxUint32), *latency)
 	case *leaseDur <= 0:
 		return fmt.Errorf("-lease must be > 0, got %v", *leaseDur)
 	case *queueMax < 1:
@@ -246,8 +251,6 @@ func run(args []string) error {
 	// The distributed-mode knobs only mean something with -coordinator, and
 	// the coordinator only shards the column experiments SweepSpecs knows.
 	if *coordAddr == "" {
-		set := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 		if set["lease"] || set["queue-max"] {
 			return fmt.Errorf("-lease and -queue-max require -coordinator")
 		}
@@ -967,13 +970,7 @@ func ablate(e *exp.Experiment) error {
 			return err
 		}
 		fmt.Print(exp.FormatColumns(fmt.Sprintf("MSHR ablation, %s (RC, window 64)", strings.ToUpper(app)), ms))
-		bt, err := e.AblationBTB(app, func(entries int) trace.Predictor {
-			b, err := bpred.NewBTB(entries, 4)
-			if err != nil {
-				panic(err)
-			}
-			return b
-		})
+		bt, err := e.AblationBTB(app)
 		if err != nil {
 			return err
 		}

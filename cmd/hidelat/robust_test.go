@@ -25,6 +25,10 @@ func TestCLIFlagValidation(t *testing.T) {
 		{[]string{"-timeout", "-5s", "table1"}, "-timeout"},
 		{[]string{"-cpus", "0", "table1"}, "-cpus"},
 		{[]string{"-tracecpu", "-3", "table1"}, "-tracecpu"},
+		{[]string{"-tracecpu", "3", "-cpus", "2", "table1"}, "-tracecpu"},
+		{[]string{"-tracecpu", "2", "-cpus", "2", "table1"}, "-tracecpu"},
+		{[]string{"-latency", "0", "table1"}, "-latency"},
+		{[]string{"-latency", "4294967346", "table1"}, "-latency"},
 	}
 	for _, tc := range cases {
 		_, err := captureRun(t, tc.args...)

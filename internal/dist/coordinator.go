@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -286,6 +285,11 @@ func RunSweep(ctx context.Context, e *exp.Experiment, specs []exp.CellSpec, co *
 	if nc == 0 {
 		return nil, errors.New("dist: no cells to sweep")
 	}
+	for _, spec := range specs {
+		if err := spec.Validate(); err != nil {
+			return nil, err
+		}
+	}
 	if err := co.q.start(len(apps) * nc); err != nil {
 		return nil, err
 	}
@@ -298,7 +302,7 @@ func RunSweep(ctx context.Context, e *exp.Experiment, specs []exp.CellSpec, co *
 	if genWorkers < 1 {
 		genWorkers = 1
 	}
-	genCE := make([]*exp.CellError, len(apps))
+	genErrs := make([]error, len(apps))
 	sem := make(chan struct{}, genWorkers)
 	var wg sync.WaitGroup
 	for a, app := range apps {
@@ -308,21 +312,16 @@ func RunSweep(ctx context.Context, e *exp.Experiment, specs []exp.CellSpec, co *
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			run, err := e.Run(app)
-			if err != nil {
-				// One failure entry for the whole app, mirroring perAppCells:
-				// its cells never enter the queue.
-				genCE[a] = &exp.CellError{
-					Label: app + " (trace generation)", Index: a * nc, Attempts: 1, Err: err,
-				}
-				co.q.discount(nc)
-				return
-			}
 			var buf bytes.Buffer
-			if _, err := run.TraceView().WriteTo(&buf); err != nil {
-				genCE[a] = &exp.CellError{
-					Label: app + " (trace generation)", Index: a * nc, Attempts: 1,
-					Err: fmt.Errorf("serialize trace: %w", err),
+			if err == nil {
+				if _, werr := run.TraceView().WriteTo(&buf); werr != nil {
+					err = fmt.Errorf("serialize trace: %w", werr)
 				}
+			}
+			if err != nil {
+				// The merge records one failure for the whole app; its
+				// cells never enter the queue.
+				genErrs[a] = err
 				co.q.discount(nc)
 				return
 			}
@@ -343,40 +342,8 @@ func RunSweep(ctx context.Context, e *exp.Experiment, specs []exp.CellSpec, co *
 	if err := co.q.wait(ctx); err != nil {
 		return nil, fmt.Errorf("dist: sweep canceled: %w", err)
 	}
-
-	// Merge by cell index — the same layout perAppCells fills.
-	out := make([]exp.AppColumns, len(apps))
-	var failures []*exp.CellError
-	for a, app := range apps {
-		cols := make([]exp.Column, nc)
-		if ce := genCE[a]; ce != nil {
-			failures = append(failures, ce)
-			for c := range specs {
-				cols[c] = exp.FailedSpecColumn(specs[c], ce)
-			}
-			exp.NormalizeColumns(cols)
-			out[a] = exp.AppColumns{App: app, Cols: cols}
-			continue
-		}
-		for c := range specs {
-			b, instructions, cerr := co.q.outcome(a*nc + c)
-			if cerr != nil {
-				failures = append(failures, cerr)
-				cols[c] = exp.FailedSpecColumn(specs[c], cerr)
-				continue
-			}
-			col, err := exp.SpecColumn(specs[c], b, instructions)
-			if err != nil {
-				return nil, fmt.Errorf("dist: rebuild column %q: %w", specs[c].Label, err)
-			}
-			cols[c] = col
-		}
-		exp.NormalizeColumns(cols)
-		out[a] = exp.AppColumns{App: app, Cols: cols}
-	}
-	if len(failures) > 0 {
-		sort.Slice(failures, func(i, j int) bool { return failures[i].Index < failures[j].Index })
-		return out, &exp.PartialError{Total: len(apps) * nc, Cells: failures}
-	}
-	return out, nil
+	// Merge by cell index through the in-process driver's merge.
+	return exp.MergeCells(apps, specs, genErrs, func(a, c int) (cpu.Breakdown, uint64, *exp.CellError) {
+		return co.q.outcome(a*nc + c)
+	})
 }

@@ -101,8 +101,8 @@ func (q *queue) start(total int) error {
 	return nil
 }
 
-// addApp enqueues one application's cells, keyed a*len(specs)+c — the same
-// index layout perAppCells merges by.
+// addApp enqueues one application's cells, keyed a*len(specs)+c — the
+// index layout exp.MergeCells merges by.
 func (q *queue) addApp(a int, app string, specs []exp.CellSpec, traceFNV string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

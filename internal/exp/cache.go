@@ -11,11 +11,13 @@ package exp
 //     published, so a warm run restores everything a cold run produces —
 //     including the registry contents the determinism checksum hashes.
 //   - Replay-cell results, keyed by (trace content address, cell spec).
-//     A replay is a pure function of those two (see RunSpec), and for
-//     spec-derived cells the published Column is fully reconstructed by
-//     SpecColumn from the breakdown and instruction count, so that pair is
-//     the entire payload. Ablation cells configured through closures have
-//     no serializable identity and always compute.
+//     A replay is a pure function of those two (see RunSpec), and the
+//     published Column is fully reconstructed from the spec plus the
+//     breakdown and instruction count, so that pair is the entire payload.
+//     Every cell is a CellSpec — the figure matrices, the window sweeps and
+//     the ablations alike — so every unprobed cell is cached; the analyze
+//     and timeline probes' instruments are not part of the payload, so
+//     their cells always compute.
 //
 // The dynsched version namespace lives inside cache.Store (set at Open), so
 // the keys here never embed it; the same helpers serve the in-process
@@ -162,41 +164,4 @@ func verifySelected(fraction float64, key string) bool {
 	h := fnv.New64a()
 	h.Write([]byte(key))
 	return h.Sum64()%10000 < uint64(fraction*10000)
-}
-
-// cacheHit fills a cell slot from a cached result. When the cell is
-// selected for verification it is recomputed in full and compared; a
-// divergence is a terminal cell failure (the cache or the simulator is
-// lying, and silently preferring either answer would poison the run).
-// Returns (handled, err): handled=false means compute normally.
-func (o *Options) cacheHit(tr *trace.Trace, c cell, addr, site string, index int, slot *Column) (bool, *CellError) {
-	if c.spec == nil {
-		return false, nil
-	}
-	b, instructions, ok := CellCacheGet(o.Cache, addr, *c.spec)
-	if !ok {
-		return false, nil
-	}
-	col, err := SpecColumn(*c.spec, b, instructions)
-	if err != nil {
-		return false, nil // unreconstructable spec: recompute
-	}
-	if verifySelected(o.CacheVerify, CellKey(addr, *c.spec)) {
-		var fresh Column
-		if cerr := runCell(tr, c, o, site, index, &fresh); cerr != nil {
-			return true, cerr
-		}
-		match := fresh.Breakdown == col.Breakdown && fresh.Instructions == col.Instructions
-		o.Cache.CountVerified(match)
-		if !match {
-			return true, &CellError{
-				Label: site, Index: index, Attempts: 1,
-				Err: &permanentError{fmt.Errorf(
-					"exp: cache verification divergence: cached breakdown %+v (instructions %d) vs recomputed %+v (instructions %d)",
-					col.Breakdown, col.Instructions, fresh.Breakdown, fresh.Instructions)},
-			}
-		}
-	}
-	*slot = col
-	return true, nil
 }

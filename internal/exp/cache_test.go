@@ -22,6 +22,11 @@ import (
 // cachedSweep runs Figure3All on a fresh Experiment backed by the store,
 // returning the columns and the registry snapshot FNV.
 func cachedSweep(t *testing.T, store *cache.Store, workers int, verify float64) ([]AppColumns, string) {
+	return cachedRun(t, store, workers, verify, (*Experiment).Figure3All)
+}
+
+// cachedRun runs one sweep on a fresh Experiment backed by the store.
+func cachedRun(t *testing.T, store *cache.Store, workers int, verify float64, sweep func(*Experiment) ([]AppColumns, error)) ([]AppColumns, string) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	opts := DefaultOptions()
@@ -32,7 +37,7 @@ func cachedSweep(t *testing.T, store *cache.Store, workers int, verify float64) 
 	opts.CacheVerify = verify
 	opts.Metrics = reg
 	e := New(opts)
-	cols, err := e.Figure3All()
+	cols, err := sweep(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,33 +45,51 @@ func cachedSweep(t *testing.T, store *cache.Store, workers int, verify float64) 
 }
 
 func TestCacheWarmMatchesColdAcrossWorkers(t *testing.T) {
-	dir := t.TempDir()
-	store, err := cache.Open(dir, cache.Options{Version: "test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, coldFNV := cachedSweep(t, store, 1, 0)
-	if store.Misses() == 0 {
-		t.Fatal("cold sweep recorded no misses")
-	}
-	for _, workers := range []int{1, 4} {
-		warmStore, err := cache.Open(dir, cache.Options{Version: "test"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, warmFNV := cachedSweep(t, warmStore, workers, 0)
-		if !reflect.DeepEqual(cold, warm) {
-			t.Fatalf("warm columns at %d workers differ from cold", workers)
-		}
-		if warmFNV != coldFNV {
-			t.Fatalf("warm metrics FNV %s != cold %s at %d workers", warmFNV, coldFNV, workers)
-		}
-		if warmStore.Hits() == 0 {
-			t.Fatalf("warm sweep at %d workers recorded no hits", workers)
-		}
-		if warmStore.Misses() != 0 {
-			t.Fatalf("warm sweep at %d workers recorded %d misses", workers, warmStore.Misses())
-		}
+	for _, in := range []struct {
+		name  string
+		sweep func(*Experiment) ([]AppColumns, error)
+	}{
+		{"fig3", (*Experiment).Figure3All},
+		{"ablation-storebuf", func(e *Experiment) ([]AppColumns, error) {
+			cols, err := e.AblationStoreBuffer("mp3d")
+			return []AppColumns{{App: "mp3d", Cols: cols}}, err
+		}},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			dir := t.TempDir()
+			store, err := cache.Open(dir, cache.Options{Version: "test"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, coldFNV := cachedRun(t, store, 1, 0, in.sweep)
+			if store.Misses() == 0 {
+				t.Fatal("cold sweep recorded no misses")
+			}
+			for _, workers := range []int{1, 4} {
+				warmStore, err := cache.Open(dir, cache.Options{Version: "test"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				warm, warmFNV := cachedRun(t, warmStore, workers, 0, in.sweep)
+				if !reflect.DeepEqual(cold, warm) {
+					t.Fatalf("warm columns at %d workers differ from cold", workers)
+				}
+				if warmFNV != coldFNV {
+					t.Fatalf("warm metrics FNV %s != cold %s at %d workers", warmFNV, coldFNV, workers)
+				}
+				// Every cell must come from the store, not just the traces.
+				cells := 0
+				for _, ac := range warm {
+					cells += len(ac.Cols)
+				}
+				if hits := warmStore.Hits(); hits < uint64(cells) {
+					t.Fatalf("warm sweep at %d workers recorded %d hits for %d cells", workers, hits, cells)
+				}
+				if warmStore.Misses() != 0 {
+					t.Fatalf("warm sweep at %d workers recorded %d misses", workers, warmStore.Misses())
+				}
+			}
+		})
 	}
 }
 

@@ -468,87 +468,50 @@ func runArch(tr *trace.Trace, arch string, cfg cpu.Config) (cpu.Result, error) {
 	return cpu.Result{}, fmt.Errorf("exp: unknown architecture %q", arch)
 }
 
-// figure3Cells is the §4.1 processor/model matrix, derived from the
-// serializable Figure3Specs so the local and distributed sweeps replay the
-// identical cell list.
-func figure3Cells() []cell {
-	return specCells(Figure3Specs())
-}
-
-// Figure3 runs the §4.1 processor/model matrix over one application trace,
-// fanning the independent replays across GOMAXPROCS workers.
-func Figure3(tr *trace.Trace) ([]Column, error) {
-	return runCells(tr, figure3Cells(), 0, nil, "", new(Options))
-}
-
-// figure4Cells is the §4.1.3 isolation experiment under RC, derived from the
-// serializable Figure4Specs.
-func figure4Cells() []cell {
-	return specCells(Figure4Specs())
-}
-
-// Figure4 runs the §4.1.3 isolation experiment over one application trace,
-// fanning the independent replays across GOMAXPROCS workers.
-func Figure4(tr *trace.Trace) ([]Column, error) {
-	return runCells(tr, figure4Cells(), 0, nil, "", new(Options))
-}
-
-// windowSweepCells is the DS window sweep under a model with BASE as the
-// reference column (used by the latency-100 and multiple-issue experiments
-// and the ablations).
-func windowSweepCells(model consistency.Model, mutate func(*cpu.Config)) []cell {
-	cells := []cell{{label: "BASE", arch: "BASE"}}
-	for _, w := range Windows {
-		cells = append(cells, cell{
-			label: fmt.Sprintf("%s-DS%d", model, w), arch: "DS", model: model,
-			window: w, mutate: mutate,
-		})
+// traceMatrix replays specs over one supplied trace through the matrix
+// driver, fanning the independent replays across GOMAXPROCS workers.
+func traceMatrix(tr *trace.Trace, specs []CellSpec) ([]Column, error) {
+	run := &AppRun{Trace: tr}
+	acs, _, err := runMatrix(new(Options), []string{""}, func(string) (*AppRun, error) { return run, nil }, specs, noProbe)
+	if acs == nil {
+		return nil, err
 	}
-	return cells
+	return acs[0].Cols, err
 }
+
+// Figure3 runs the §4.1 processor/model matrix over one application trace.
+func Figure3(tr *trace.Trace) ([]Column, error) { return traceMatrix(tr, Figure3Specs()) }
+
+// Figure4 runs the §4.1.3 isolation experiment over one application trace.
+func Figure4(tr *trace.Trace) ([]Column, error) { return traceMatrix(tr, Figure4Specs()) }
 
 // WindowSweep runs the DS processor across the window sizes under a model,
-// fanning the independent replays across GOMAXPROCS workers.
-func WindowSweep(tr *trace.Trace, model consistency.Model, mutate func(*cpu.Config)) ([]Column, error) {
-	return runCells(tr, windowSweepCells(model, mutate), 0, nil, "", new(Options))
+// with BASE as the reference column.
+func WindowSweep(tr *trace.Trace, model consistency.Model) ([]Column, error) {
+	return traceMatrix(tr, WindowSweepSpecs(model))
 }
 
 // ReadHiddenSummary reproduces the concluding statistic of §7: the average
 // fraction of read latency hidden across the applications for each window
 // size under RC ("33% for window size of 16, 63% for window size of 32, and
-// 81% for window size of 64" in the paper). The per-application sweeps run
-// concurrently; the average is accumulated in application order afterwards,
-// so the floating-point result is worker-count independent.
+// 81% for window size of 64" in the paper). It reads the RC window sweep's
+// ReadHidden columns; the average is accumulated in application order, so
+// the floating-point result is worker-count independent. Any failed cell
+// fails the whole summary.
 func (e *Experiment) ReadHiddenSummary() (map[int]float64, map[string]map[int]float64, error) {
-	apps := e.Apps()
-	rows := make([]map[int]float64, len(apps))
-	err := e.perAppJobs(func(i int, run *AppRun) error {
-		base := cpu.RunBase(run.Trace)
-		row := make(map[int]float64, len(Windows))
-		for _, w := range Windows {
-			res, err := cpu.RunDS(run.Trace, cpu.Config{Model: consistency.RC, Window: w})
-			if err != nil {
-				return err
-			}
-			h := 0.0
-			if base.Breakdown.Read > 0 {
-				h = 1 - float64(res.Breakdown.Read)/float64(base.Breakdown.Read)
-			}
-			row[w] = h
-		}
-		rows[i] = row
-		return nil
-	})
+	acs, err := e.WindowSweepAll()
 	if err != nil {
 		return nil, nil, err
 	}
-	perApp := make(map[string]map[int]float64, len(apps))
+	perApp := make(map[string]map[int]float64, len(acs))
 	avg := make(map[int]float64, len(Windows))
-	for i, app := range apps {
-		perApp[app] = rows[i]
-		for _, w := range Windows {
-			avg[w] += rows[i][w] / float64(len(apps))
+	for _, ac := range acs {
+		row := make(map[int]float64, len(Windows))
+		for _, c := range ac.Cols[1:] {
+			row[c.Window] = c.ReadHidden
+			avg[c.Window] += c.ReadHidden / float64(len(acs))
 		}
+		perApp[ac.App] = row
 	}
 	return avg, perApp, nil
 }

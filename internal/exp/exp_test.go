@@ -6,10 +6,8 @@ import (
 	"testing"
 
 	"dynsched/internal/apps"
-	"dynsched/internal/bpred"
 	"dynsched/internal/consistency"
 	"dynsched/internal/cpu"
-	"dynsched/internal/trace"
 )
 
 func smallExp(t *testing.T, appNames ...string) *Experiment {
@@ -285,7 +283,7 @@ func TestLatency100(t *testing.T) {
 	if run.Trace.MissPenalty != 100 {
 		t.Fatalf("trace generated with penalty %d", run.Trace.MissPenalty)
 	}
-	cols, err := WindowSweep(run.Trace, consistency.RC, nil)
+	cols, err := WindowSweep(run.Trace, consistency.RC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,13 +330,7 @@ func TestAblations(t *testing.T) {
 	if colByLabel(t, ms, "MSHR1").Breakdown.Total() < colByLabel(t, ms, "MSHRinf").Breakdown.Total() {
 		t.Error("more MSHRs should not be slower")
 	}
-	bt, err := e.AblationBTB("mp3d", func(entries int) trace.Predictor {
-		b, err := bpred.NewBTB(entries, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	})
+	bt, err := e.AblationBTB("mp3d")
 	if err != nil {
 		t.Fatal(err)
 	}

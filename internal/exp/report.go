@@ -12,7 +12,6 @@ import (
 	"dynsched/internal/mem"
 	"dynsched/internal/resched"
 	"dynsched/internal/tango"
-	"dynsched/internal/trace"
 	"dynsched/internal/vm"
 )
 
@@ -22,32 +21,31 @@ type AppColumns struct {
 	Cols []Column
 }
 
-// Figure3All runs Figure 3 for every application: traces generate
-// concurrently, then the full apps × configurations matrix fans out across
-// Options.Workers.
-func (e *Experiment) Figure3All() ([]AppColumns, error) {
-	return e.perAppCells(figure3Cells())
+// sweep runs specs for every configured application through the matrix
+// driver.
+func (e *Experiment) sweep(specs []CellSpec) ([]AppColumns, error) {
+	acs, _, err := runMatrix(&e.opts, e.Apps(), e.Run, specs, noProbe)
+	return acs, err
 }
 
+// Figure3All runs Figure 3 for every application: traces generate
+// concurrently, and the full apps × configurations matrix fans out across
+// Options.Workers.
+func (e *Experiment) Figure3All() ([]AppColumns, error) { return e.sweep(Figure3Specs()) }
+
 // Figure4All runs Figure 4 for every application.
-func (e *Experiment) Figure4All() ([]AppColumns, error) {
-	return e.perAppCells(figure4Cells())
-}
+func (e *Experiment) Figure4All() ([]AppColumns, error) { return e.sweep(Figure4Specs()) }
 
 // Issue4All runs the §4.2 multiple-issue experiment: the RC window sweep
 // with a decode/issue width of four.
-func (e *Experiment) Issue4All() ([]AppColumns, error) {
-	return e.perAppCells(specCells(Issue4Specs()))
-}
+func (e *Experiment) Issue4All() ([]AppColumns, error) { return e.sweep(Issue4Specs()) }
 
 // SCPrefetchAll evaluates the non-binding-prefetch technique of reference
 // [8] (paper §6) under sequential consistency: the window sweep with an
 // otherwise idle cache port prefetching the oldest consistency-blocked
 // miss. The SC+PF columns can be compared against plain SC and RC from
 // Figure 3.
-func (e *Experiment) SCPrefetchAll() ([]AppColumns, error) {
-	return e.perAppCells(specCells(SCPrefetchSpecs()))
-}
+func (e *Experiment) SCPrefetchAll() ([]AppColumns, error) { return e.sweep(SCPrefetchSpecs()) }
 
 // MissDistanceReport renders the §4.1.3 distance-between-read-misses
 // distributions ("90% of the read misses are a distance of 20-30
@@ -73,14 +71,12 @@ func (e *Experiment) MissDistanceReport() (string, error) {
 // WindowSweepAll runs the plain RC window sweep for every application; with
 // Options.MissPenalty set to 100 this is the §4.2 higher-latency experiment.
 func (e *Experiment) WindowSweepAll() ([]AppColumns, error) {
-	return e.perAppCells(specCells(WindowSweepSpecs(consistency.RC)))
+	return e.sweep(WindowSweepSpecs(consistency.RC))
 }
 
 // WOAll evaluates the weak ordering model (described in §2.1 but not
 // plotted in the paper) across the window sweep — an extension experiment.
-func (e *Experiment) WOAll() ([]AppColumns, error) {
-	return e.perAppCells(specCells(WindowSweepSpecs(consistency.WO)))
-}
+func (e *Experiment) WOAll() ([]AppColumns, error) { return e.sweep(WindowSweepSpecs(consistency.WO)) }
 
 // FormatAppColumns renders one figure for all applications.
 func FormatAppColumns(title string, acs []AppColumns) string {
@@ -143,42 +139,29 @@ func (e *Experiment) DelayReport() (string, error) {
 	return sb.String(), nil
 }
 
-// AblationStoreBuffer sweeps the DS store-buffer depth under RC at window 64.
-func (e *Experiment) AblationStoreBuffer(app string) ([]Column, error) {
-	run, err := e.Run(app)
-	if err != nil {
+// ablation runs one application's ablation sweep as a one-app matrix.
+func (e *Experiment) ablation(app string, specs []CellSpec) ([]Column, error) {
+	acs, _, err := runMatrix(&e.opts, []string{app}, e.Run, specs, noProbe)
+	if acs == nil {
 		return nil, err
 	}
-	cells := []cell{{label: "BASE", arch: "BASE"}}
-	for _, depth := range []int{1, 2, 4, 8, 16, 32} {
-		depth := depth
-		cells = append(cells, cell{
-			label: fmt.Sprintf("SB%d", depth), arch: "DS", model: consistency.RC, window: 64,
-			mutate: func(c *cpu.Config) { c.StoreBufDepth = depth },
-		})
-	}
-	return runCells(run.Trace, cells, e.opts.Workers, e.opts.Board, app+" ", &e.opts)
+	return acs[0].Cols, err
+}
+
+// AblationStoreBuffer sweeps the DS store-buffer depth under RC at window 64.
+func (e *Experiment) AblationStoreBuffer(app string) ([]Column, error) {
+	return e.ablation(app, storeBufferSpecs())
 }
 
 // AblationMSHR sweeps the number of outstanding misses allowed.
 func (e *Experiment) AblationMSHR(app string) ([]Column, error) {
-	run, err := e.Run(app)
-	if err != nil {
-		return nil, err
-	}
-	cells := []cell{{label: "BASE", arch: "BASE"}}
-	for _, n := range []int{1, 2, 4, 8, 16, 0} {
-		n := n
-		label := fmt.Sprintf("MSHR%d", n)
-		if n == 0 {
-			label = "MSHRinf"
-		}
-		cells = append(cells, cell{
-			label: label, arch: "DS", model: consistency.RC, window: 64,
-			mutate: func(c *cpu.Config) { c.MSHRs = n },
-		})
-	}
-	return runCells(run.Trace, cells, e.opts.Workers, e.opts.Board, app+" ", &e.opts)
+	return e.ablation(app, mshrSpecs())
+}
+
+// AblationBTB sweeps the 4-way BTB size at window 128 under RC, isolating
+// how much prediction capacity the large windows need.
+func (e *Experiment) AblationBTB(app string) ([]Column, error) {
+	return e.ablation(app, btbSpecs())
 }
 
 // MachineRow is one machine size of the processor-count sweep.
@@ -530,24 +513,4 @@ func FormatCacheGeom(app string, rows []CacheGeomRow) string {
 			r.BaseTotal, r.DSTotal, 100*float64(r.DSTotal)/float64(r.BaseTotal))
 	}
 	return sb.String()
-}
-
-// AblationBTB sweeps the BTB size at window 128 under RC, isolating how much
-// prediction capacity the large windows need.
-func (e *Experiment) AblationBTB(app string, mkBTB func(entries int) trace.Predictor) ([]Column, error) {
-	run, err := e.Run(app)
-	if err != nil {
-		return nil, err
-	}
-	cells := []cell{{label: "BASE", arch: "BASE"}}
-	for _, entries := range []int{64, 256, 1024, 2048, 8192} {
-		entries := entries
-		cells = append(cells, cell{
-			label: fmt.Sprintf("BTB%d", entries), arch: "DS", model: consistency.RC, window: 128,
-			// mkBTB runs inside the job so each concurrent replay gets its
-			// own predictor state.
-			mutate: func(c *cpu.Config) { c.Predictor = mkBTB(entries) },
-		})
-	}
-	return runCells(run.Trace, cells, e.opts.Workers, e.opts.Board, app+" ", &e.opts)
 }

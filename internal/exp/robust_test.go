@@ -71,29 +71,6 @@ func TestRunJobsRunsEverythingBelowFailure(t *testing.T) {
 	}
 }
 
-func TestRunJobsAllCollectsEveryError(t *testing.T) {
-	bad := map[int]error{5: errors.New("five"), 12: errors.New("twelve")}
-	for _, workers := range []int{0, 1, 4} {
-		const n = 20
-		ran := make([]bool, n)
-		var mu sync.Mutex
-		errs := runJobsAll(nil, n, workers, func(i int) error {
-			mu.Lock()
-			ran[i] = true
-			mu.Unlock()
-			return bad[i]
-		})
-		for i := 0; i < n; i++ {
-			if !ran[i] {
-				t.Fatalf("workers=%d: index %d never ran despite failures elsewhere", workers, i)
-			}
-			if !errors.Is(errs[i], bad[i]) {
-				t.Fatalf("workers=%d: errs[%d] = %v, want %v", workers, i, errs[i], bad[i])
-			}
-		}
-	}
-}
-
 func TestAttemptRetriesTransientThenSucceeds(t *testing.T) {
 	o := &Options{Retries: 2, RetryBackoff: time.Millisecond}
 	calls := 0
@@ -152,55 +129,131 @@ func TestAttemptStopsOnCancellation(t *testing.T) {
 	}
 }
 
-// TestPanickingCellDegradesGracefully is the headline fault-injection check:
-// one cell of Figure 3 panics on every attempt, the sweep still finishes,
-// returns every other column, marks the failed one, and produces the exact
-// same partial output at any worker count.
-func TestPanickingCellDegradesGracefully(t *testing.T) {
-	render := func(workers int) (string, string) {
-		opts := DefaultOptions()
-		opts.Scale = apps.ScaleSmall
-		opts.Apps = []string{"mp3d"}
-		opts.Workers = workers
-		opts.Retries = 1
-		opts.RetryBackoff = time.Millisecond
-		opts.Faults = faultinject.New()
-		opts.Faults.Arm("cell.mp3d RC-DS64", faultinject.Fault{Kind: faultinject.KindPanic, Times: 99})
-		e := New(opts)
+// faultSweep is one sweep front-end under fault injection: run drives it on
+// a fresh harness and flattens the outcome into the rendered report plus
+// each app's per-cell failed flags. infix is the sweep's fault-site and
+// label infix between the application and the cell label.
+type faultSweep struct {
+	name  string
+	infix string
+	run   func(e *Experiment) (text string, failed [][]bool, err error)
+}
+
+var faultSweeps = []faultSweep{
+	{"fig3", "", func(e *Experiment) (string, [][]bool, error) {
 		acs, err := e.Figure3All()
-		var pe *PartialError
-		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: err = %v, want *PartialError", workers, err)
+		var failed [][]bool
+		for _, ac := range acs {
+			row := make([]bool, len(ac.Cols))
+			for i, c := range ac.Cols {
+				row[i] = c.Failed || c.Breakdown.Total() == 0
+			}
+			failed = append(failed, row)
 		}
-		if len(pe.Cells) != 1 || pe.Cells[0].Label != "mp3d RC-DS64" {
-			t.Fatalf("workers=%d: wrong failure set: %v", workers, pe.FailedLabels())
+		return FormatAppColumns("fig3", acs) + ColumnsCSV(acs), failed, err
+	}},
+	{"analyze", "analyze ", func(e *Experiment) (string, [][]bool, error) {
+		rep, err := e.AnalyzeAll()
+		if rep == nil {
+			return "", nil, err
 		}
-		if pe.Cells[0].Attempts != 2 || pe.Cells[0].Stack == nil {
-			t.Errorf("workers=%d: retry/stack bookkeeping off: attempts=%d stack=%v",
-				workers, pe.Cells[0].Attempts, pe.Cells[0].Stack != nil)
+		var failed [][]bool
+		for _, app := range rep.Apps {
+			row := make([]bool, len(app.Cells))
+			for i, c := range app.Cells {
+				row[i] = c.Failed || c.Attr.Total == 0
+			}
+			failed = append(failed, row)
 		}
-		healthy := 0
-		for _, c := range acs[0].Cols {
-			if !c.Failed && c.Breakdown.Total() > 0 {
-				healthy++
+		return rep.Format(), failed, err
+	}},
+	{"timeline", "timeline ", func(e *Experiment) (string, [][]bool, error) {
+		rep, err := e.TimelineAll()
+		if rep == nil {
+			return "", nil, err
+		}
+		var failed [][]bool
+		for _, app := range rep.Apps {
+			row := make([]bool, len(app.Cells))
+			for i, c := range app.Cells {
+				row[i] = c.Failed || c.TotalCycles == 0
+			}
+			failed = append(failed, row)
+		}
+		return rep.Format() + rep.CSV(), failed, err
+	}},
+}
+
+// checkFailedCells asserts that exactly the cells flagged in want failed.
+func checkFailedCells(t *testing.T, sweep string, workers int, apps []string, got [][]bool, want func(a, c int) bool) {
+	t.Helper()
+	if len(got) != len(apps) {
+		t.Fatalf("%s workers=%d: %d apps in the result, want %d", sweep, workers, len(got), len(apps))
+	}
+	for a, row := range got {
+		for c, failed := range row {
+			if failed != want(a, c) {
+				t.Errorf("%s workers=%d: %s cell %d failed=%v, want %v", sweep, workers, apps[a], c, failed, want(a, c))
 			}
 		}
-		if healthy != len(acs[0].Cols)-1 {
-			t.Fatalf("workers=%d: %d healthy columns, want %d", workers, healthy, len(acs[0].Cols)-1)
-		}
-		table := FormatAppColumns("fig3", acs)
-		if !strings.Contains(table, "FAILED") {
-			t.Errorf("workers=%d: failed cell not marked in the table:\n%s", workers, table)
-		}
-		return table, pe.Error()
 	}
-	serialTable, serialErr := render(1)
-	parTable, parErr := render(8)
-	if serialTable != parTable {
-		t.Errorf("partial table differs between Workers=1 and Workers=8:\n--- serial ---\n%s\n--- parallel ---\n%s", serialTable, parTable)
-	}
-	if serialErr != parErr {
-		t.Errorf("partial error differs between worker counts:\n%s\nvs\n%s", serialErr, parErr)
+}
+
+// TestPanickingCellDegradesGracefully is the headline fault-injection check:
+// one RC-DS64 cell panics on every attempt, the sweep still finishes,
+// returns every other cell, marks the failed one, and produces the exact
+// same partial output at any worker count — for the figure sweep and both
+// probe sweeps.
+func TestPanickingCellDegradesGracefully(t *testing.T) {
+	for _, sw := range faultSweeps {
+		t.Run(sw.name, func(t *testing.T) {
+			site := "mp3d " + sw.infix + "RC-DS64"
+			render := func(workers int) (string, string) {
+				opts := DefaultOptions()
+				opts.Scale = apps.ScaleSmall
+				opts.Apps = []string{"mp3d"}
+				opts.Workers = workers
+				opts.Retries = 1
+				opts.RetryBackoff = time.Millisecond
+				opts.Faults = faultinject.New()
+				opts.Faults.Arm("cell."+site, faultinject.Fault{Kind: faultinject.KindPanic, Times: 99})
+				text, failed, err := sw.run(New(opts))
+				var pe *PartialError
+				if !errors.As(err, &pe) {
+					t.Fatalf("workers=%d: err = %v, want *PartialError", workers, err)
+				}
+				if len(pe.Cells) != 1 || pe.Cells[0].Label != site {
+					t.Fatalf("workers=%d: wrong failure set: %v", workers, pe.FailedLabels())
+				}
+				ce := pe.Cells[0]
+				if ce.Attempts != 2 || ce.Stack == nil {
+					t.Errorf("workers=%d: retry/stack bookkeeping off: attempts=%d stack=%v",
+						workers, ce.Attempts, ce.Stack != nil)
+				}
+				want := -1
+				for c, failed := range failed[0] {
+					if failed {
+						want = c
+					}
+				}
+				if ce.Index != want {
+					t.Errorf("workers=%d: failure index %d, want the failed cell's slot %d", workers, ce.Index, want)
+				}
+				checkFailedCells(t, sw.name, workers, opts.Apps, failed, func(a, c int) bool { return c == ce.Index })
+				if !strings.Contains(text, "FAILED") {
+					t.Errorf("workers=%d: failed cell not marked in the report:\n%s", workers, text)
+				}
+				return text, pe.Error()
+			}
+			serialText, serialErr := render(1)
+			parText, parErr := render(8)
+			if serialText != parText {
+				t.Errorf("partial output differs between Workers=1 and Workers=8:\n--- serial ---\n%s\n--- parallel ---\n%s", serialText, parText)
+			}
+			if serialErr != parErr {
+				t.Errorf("partial error differs between worker counts:\n%s\nvs\n%s", serialErr, parErr)
+			}
+		})
 	}
 }
 
@@ -230,35 +283,42 @@ func TestRetryRecoversTransientCellFault(t *testing.T) {
 	}
 }
 
-// A failed trace generation fails that application's cells and nothing else.
+// A failed trace generation fails that application's cells and nothing
+// else, for the figure sweep and both probe sweeps, with the same partial
+// output at any worker count.
 func TestGenerationFailureIsolatedPerApp(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Scale = apps.ScaleSmall
-	opts.Apps = []string{"mp3d", "ocean"}
-	opts.Workers = 4
-	opts.Faults = faultinject.New()
-	opts.Faults.Arm("gen.mp3d", faultinject.Fault{Kind: faultinject.KindError})
-	e := New(opts)
-	acs, err := e.WindowSweepAll()
-	var pe *PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PartialError", err)
-	}
-	if len(pe.Cells) != 1 || pe.Cells[0].Label != "mp3d (trace generation)" {
-		t.Fatalf("wrong failure set: %v", pe.FailedLabels())
-	}
-	for _, c := range acs[0].Cols { // mp3d
-		if !c.Failed {
-			t.Fatalf("mp3d column %q not marked failed after its generation failed", c.Label)
-		}
-	}
-	for _, c := range acs[1].Cols { // ocean
-		if c.Failed || c.Breakdown.Total() == 0 {
-			t.Fatalf("ocean column %q collateral-damaged by mp3d's generation failure", c.Label)
-		}
-	}
-	if csv := ColumnsCSV(acs); strings.Contains(csv, "mp3d") || !strings.Contains(csv, "ocean") {
-		t.Errorf("CSV must omit failed cells and keep healthy ones:\n%s", csv)
+	for _, sw := range faultSweeps {
+		t.Run(sw.name, func(t *testing.T) {
+			render := func(workers int) (string, string) {
+				opts := DefaultOptions()
+				opts.Scale = apps.ScaleSmall
+				opts.Apps = []string{"mp3d", "lu"}
+				opts.Workers = workers
+				opts.Faults = faultinject.New()
+				opts.Faults.Arm("gen.mp3d", faultinject.Fault{Kind: faultinject.KindError})
+				text, failed, err := sw.run(New(opts))
+				var pe *PartialError
+				if !errors.As(err, &pe) {
+					t.Fatalf("workers=%d: err = %v, want *PartialError", workers, err)
+				}
+				if len(pe.Cells) != 1 || pe.Cells[0].Label != "mp3d (trace generation)" || pe.Cells[0].Index != 0 {
+					t.Fatalf("workers=%d: wrong failure set: %v (index %d)", workers, pe.FailedLabels(), pe.Cells[0].Index)
+				}
+				checkFailedCells(t, sw.name, workers, opts.Apps, failed, func(a, c int) bool { return a == 0 })
+				return text, pe.Error()
+			}
+			serialText, serialErr := render(1)
+			parText, parErr := render(8)
+			if serialText != parText {
+				t.Errorf("partial output differs between Workers=1 and Workers=8:\n--- serial ---\n%s\n--- parallel ---\n%s", serialText, parText)
+			}
+			if serialErr != parErr {
+				t.Errorf("partial error differs between worker counts:\n%s\nvs\n%s", serialErr, parErr)
+			}
+			if sw.name == "fig3" && (strings.Contains(serialText, "mp3d,") || !strings.Contains(serialText, "lu,")) {
+				t.Errorf("CSV must omit failed cells and keep healthy ones:\n%s", serialText)
+			}
+		})
 	}
 }
 

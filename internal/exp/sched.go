@@ -1,27 +1,28 @@
 package exp
 
-// The parallel experiment scheduler. The paper's evaluation is a large
-// embarrassingly-parallel sweep — five applications × processor models ×
-// consistency models × window sizes — and every cell of it is an independent
-// replay of a shared immutable trace, the same fan-out the paper's own
-// methodology uses (one Tango trace, many uniprocessor replays). runJobs is
-// the bounded worker pool all of the harness's fan-outs go through; results
-// are always stored by input index, so every table, figure, and golden
-// artifact is byte-identical regardless of the worker count — including
-// failure output: errors are selected by index, never by completion time.
+// The parallel experiment scheduler. The paper's evaluation is one large
+// embarrassingly-parallel matrix — applications × processor models ×
+// consistency models × window sizes — and every cell of it is an
+// independent replay of a shared immutable trace, the same fan-out the
+// paper's own methodology uses (one Tango trace, many uniprocessor
+// replays). runMatrix is the one driver every sweep goes through: the
+// figures and window sweeps, the ablations, the analyze and timeline probes
+// and the §7 summary all hand it a list of CellSpecs, and MergeCells
+// assembles the results by cell index — the same merge the distributed
+// coordinator uses. runJobs is the bounded worker pool of the remaining
+// per-application fan-outs. Results are always stored by input index, so
+// every table, figure, and golden artifact is byte-identical regardless of
+// the worker count — including failure output: errors are selected by
+// index, never by completion time.
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"dynsched/internal/consistency"
 	"dynsched/internal/cpu"
-	"dynsched/internal/obs"
-	"dynsched/internal/trace"
 )
 
 // runJobs executes fn(0..n-1) on at most workers goroutines (0 or negative
@@ -89,170 +90,39 @@ func runJobs(n, workers int, fn func(int) error) error {
 	return nil
 }
 
-// runJobsAll executes fn(0..n-1) like runJobs but never stops on failure:
-// every job runs and the per-index errors are returned, errs[i] holding
-// fn(i)'s error. This is the graceful-degradation counterpart of runJobs,
-// used by the sweeps that finish the healthy cells and report partial
-// results. Cancellation is the one early exit: once ctx is done, unclaimed
-// jobs are marked with the context error instead of running.
-func runJobsAll(ctx context.Context, n, workers int, fn func(int) error) []error {
-	errs := make([]error, n)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// cellSite is a cell's sweep-unique label, naming its fault-injection site
+// ("cell.<site>"), board job and failure: "mp3d RC-DS64", with the probe's
+// name between application and cell ("mp3d analyze RC-DS64"). A sweep over
+// a supplied trace has no application name and uses the bare cell label.
+func cellSite(app string, p probe, label string) string {
+	switch {
+	case app == "":
+		return label
+	case p == critPathProbe:
+		return app + " analyze " + label
+	case p == timelineProbe:
+		return app + " timeline " + label
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctxDone(ctx); err != nil {
-				errs[i] = err
-				continue
-			}
-			errs[i] = fn(i)
-		}
-		return errs
-	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := ctxDone(ctx); err != nil {
-					errs[i] = err
-					continue
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return errs
+	return app + " " + label
 }
 
-// cell is one independent bar of a figure or sweep: a processor
-// configuration to replay over a trace.
-type cell struct {
-	label  string
-	arch   string // "BASE", "SSBR", "SS", "DS"
-	model  consistency.Model
-	window int
-	mutate func(*cpu.Config) // optional extra configuration
-
-	// spec is the serializable identity of a spec-derived cell, the result
-	// cache's key material. Ablation cells built from raw closures leave it
-	// nil and are never cached: a closure has no stable identity to key by.
-	spec *CellSpec
-}
-
-func (c cell) run(tr *trace.Trace, o *Options) (Column, error) {
-	cfg := cpu.Config{Model: c.model, Window: c.window, Ctx: o.Ctx, NoTimeSkip: o.NoTimeSkip}
-	if c.mutate != nil {
-		c.mutate(&cfg)
-	}
-	res, err := runArch(tr, c.arch, cfg)
-	if err != nil {
-		return Column{}, err
-	}
-	return Column{
-		Label: c.label, Model: c.model, Arch: c.arch, Window: c.window,
-		Breakdown: res.Breakdown, Instructions: res.Instructions,
-	}, nil
-}
-
-// failedColumn is the placeholder a terminally failed cell leaves in its
-// slot: the configuration identity survives so tables can mark the row, the
-// numbers stay zero.
-func failedColumn(c cell, err *CellError) Column {
-	return Column{Label: c.label, Model: c.model, Arch: c.arch, Window: c.window, Failed: true, Err: err}
-}
-
-// runCell executes one cell under the full containment stack — fault-
-// injection site, panic isolation, retry — and stores the column on success.
-// site is the cell's sweep-unique label ("mp3d RC-DS64").
-func runCell(tr *trace.Trace, c cell, o *Options, site string, index int, slot *Column) *CellError {
-	return o.attempt(site, index, func() error {
-		if err := o.Faults.Fire("cell." + site); err != nil {
-			return err
-		}
-		col, err := c.run(tr, o)
-		if err != nil {
-			return err
-		}
-		*slot = col
-		return nil
-	})
-}
-
-// runCells replays every cell over tr, fanning the independent replays
-// across workers, and returns the columns in cell order, normalized. Every
-// cell is enqueued on board (nil-safe) under labelPrefix before the fan-out
-// starts, so the live /jobs endpoint shows the whole queue up front. Failed
-// cells do not abort the sweep: the healthy columns are returned alongside
-// a *PartialError describing the failures, and the failed slots are marked.
-// Cancellation aborts with the context error and no results.
-func runCells(tr *trace.Trace, cells []cell, workers int, board *obs.JobBoard, labelPrefix string, o *Options) ([]Column, error) {
-	jobs := make([]int, len(cells))
-	for i := range cells {
-		jobs[i] = board.Enqueue(labelPrefix + cells[i].label)
-	}
-	cols := make([]Column, len(cells))
-	errs := runJobsAll(o.Ctx, len(cells), workers, func(i int) error {
-		board.Start(jobs[i])
-		cerr := runCell(tr, cells[i], o, labelPrefix+cells[i].label, i, &cols[i])
-		if cerr != nil {
-			board.Finish(jobs[i], cerr)
-			return cerr
-		}
-		board.Finish(jobs[i], nil)
-		return nil
-	})
-	if err := ctxDone(o.Ctx); err != nil {
-		return nil, fmt.Errorf("exp: sweep canceled: %w", err)
-	}
-	var failed []*CellError
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		ce := err.(*CellError)
-		cols[i] = failedColumn(cells[i], ce)
-		failed = append(failed, ce)
-	}
-	normalize(cols)
-	if failed != nil {
-		return cols, &PartialError{Total: len(cells), Cells: failed}
-	}
-	return cols, nil
-}
-
-// perAppCells runs the full apps × cells matrix — the scheduler's main
-// entry point for figures and sweeps. Trace generation and replay are
-// pipelined through one worker pool: every application's generation is
-// enqueued up front, and the moment a generation completes its replay
-// cells become claimable, so workers replay finished traces while other
-// applications are still generating — there is no barrier between the two
-// phases. Results land in by-index slots and failures are keyed by cell
-// index, so the output is byte-identical to the former generate-then-fan
-// two-phase schedule at any worker count. Failure is contained at both
-// stages: an application whose trace generation fails has all its cells
-// marked failed while the other applications' sweeps complete, and a
-// failed cell is marked without disturbing its neighbours. The partial
-// results come back alongside a *PartialError; only cancellation aborts
-// outright.
-func (e *Experiment) perAppCells(cells []cell) ([]AppColumns, error) {
-	apps := e.Apps()
-	o := &e.opts
-	nc := len(cells)
-
+// runMatrix is the harness's one sweep driver: it replays the full apps ×
+// specs matrix through probe and returns the merged columns plus each
+// cell's outcome (the probe's instruments), both indexed [app][cell].
+// Trace generation and replay are pipelined through one worker pool: every
+// application's generation (gen) is enqueued up front, and the moment a
+// generation completes its replay cells become claimable, so workers
+// replay finished traces while other applications are still generating.
+// Every cell runs under the full containment stack — fault-injection site,
+// panic isolation, retry — with fresh instruments per attempt; unprobed
+// cells go through the result cache, where a hit skips the replay but
+// lands in the same by-index slot. Results and failures are keyed by cell
+// index, so the output is byte-identical at any worker count. A failed
+// generation marks its application's cells failed and a failed cell is
+// marked without disturbing its neighbours; the partial results come back
+// alongside a *PartialError. Only cancellation aborts outright.
+func runMatrix(o *Options, apps []string, gen func(app string) (*AppRun, error), specs []CellSpec, p probe) ([]AppColumns, [][]cellOutcome, error) {
+	nc := len(specs)
 	workers := o.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -263,11 +133,72 @@ func (e *Experiment) perAppCells(cells []cell) ([]AppColumns, error) {
 
 	runs := make([]*AppRun, len(apps))
 	genErrs := make([]error, len(apps))
-	cellErrs := make([][]error, len(apps))
-	cols := make([][]Column, len(apps))
-	for i := range apps {
-		cols[i] = make([]Column, nc)
-		cellErrs[i] = make([]error, nc)
+	outs := make([][]cellOutcome, len(apps))
+	cellErrs := make([][]*CellError, len(apps))
+	for a := range apps {
+		outs[a] = make([]cellOutcome, nc)
+		cellErrs[a] = make([]*CellError, nc)
+	}
+
+	// replayCell resolves cell c of application a: from the cache, or by
+	// replaying it under attempt. A cache hit selected for verification is
+	// recomputed too; a divergence is a terminal cell failure (the cache or
+	// the simulator is lying, and silently preferring either answer would
+	// poison the run).
+	replayCell := func(a, c int) {
+		spec, addr := specs[c], runs[a].addr
+		site := cellSite(apps[a], p, spec.Label)
+		bj := o.Board.Enqueue(site)
+		var cached *cellResult
+		if p == noProbe {
+			if b, n, ok := CellCacheGet(o.Cache, addr, spec); ok {
+				cached = &cellResult{Breakdown: b, Instructions: n}
+				if !verifySelected(o.CacheVerify, CellKey(addr, spec)) {
+					outs[a][c].cellResult = *cached
+					o.Board.FinishCached(bj)
+					return
+				}
+			}
+		}
+		if cached == nil {
+			o.Board.Start(bj)
+		}
+		tr := runs[a].TraceView()
+		cerr := o.attempt(site, a*nc+c, func() error {
+			if err := o.Faults.Fire("cell." + site); err != nil {
+				return err
+			}
+			out, err := spec.replay(tr, o, p, apps[a]+" "+spec.Label)
+			if err != nil {
+				return err
+			}
+			outs[a][c] = out
+			return nil
+		})
+		if cerr == nil && cached != nil {
+			fresh := outs[a][c].cellResult
+			o.Cache.CountVerified(fresh == *cached)
+			if fresh != *cached {
+				cerr = &CellError{
+					Label: site, Index: a*nc + c, Attempts: 1,
+					Err: &permanentError{fmt.Errorf(
+						"exp: cache verification divergence: cached breakdown %+v (instructions %d) vs recomputed %+v (instructions %d)",
+						cached.Breakdown, cached.Instructions, fresh.Breakdown, fresh.Instructions)},
+				}
+			}
+		}
+		switch {
+		case cerr != nil:
+			cellErrs[a][c] = cerr
+			o.Board.Finish(bj, cerr)
+		case cached != nil:
+			o.Board.FinishCached(bj)
+		default:
+			if p == noProbe {
+				CellCachePut(o.Cache, addr, spec, outs[a][c].Breakdown, outs[a][c].Instructions)
+			}
+			o.Board.Finish(bj, nil)
+		}
 	}
 
 	// The job stream: c == -1 generates app a's trace; c >= 0 replays one
@@ -296,56 +227,21 @@ func (e *Experiment) perAppCells(cells []cell) ([]AppColumns, error) {
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				a, c := j.a, j.c
-				if err := ctxDone(o.Ctx); err != nil {
-					if c < 0 {
-						genErrs[a] = err
+				switch err := ctxDone(o.Ctx); {
+				case err != nil:
+					if j.c < 0 {
+						genErrs[j.a] = err
 					}
-					done()
-					continue
-				}
-				if c < 0 {
-					r, err := e.Run(apps[a])
-					if err != nil {
-						genErrs[a] = err
-						done()
-						continue
+				case j.c >= 0:
+					replayCell(j.a, j.c)
+				default:
+					runs[j.a], genErrs[j.a] = gen(apps[j.a])
+					if genErrs[j.a] == nil {
+						pending.Add(int64(nc))
+						for c := 0; c < nc; c++ {
+							jobs <- job{j.a, c}
+						}
 					}
-					runs[a] = r
-					pending.Add(int64(nc))
-					for cc := 0; cc < nc; cc++ {
-						jobs <- job{a, cc}
-					}
-					done()
-					continue
-				}
-				site := apps[a] + " " + cells[c].label
-				bj := o.Board.Enqueue(site)
-				tr := runs[a].TraceView()
-				// A cell already in the result cache skips its replay but
-				// lands in the same by-index slot, so the merged output is
-				// byte-identical to a cold run. The board reports it as
-				// cached rather than done, keeping ETA estimates honest.
-				if handled, cerr := o.cacheHit(tr, cells[c], runs[a].addr, site, a*nc+c, &cols[a][c]); handled {
-					if cerr != nil {
-						cellErrs[a][c] = cerr
-						o.Board.Finish(bj, cerr)
-					} else {
-						o.Board.FinishCached(bj)
-					}
-					done()
-					continue
-				}
-				o.Board.Start(bj)
-				cerr := runCell(tr, cells[c], o, site, a*nc+c, &cols[a][c])
-				if cerr != nil {
-					cellErrs[a][c] = cerr
-					o.Board.Finish(bj, cerr)
-				} else {
-					if sp := cells[c].spec; sp != nil {
-						CellCachePut(o.Cache, runs[a].addr, *sp, cols[a][c].Breakdown, cols[a][c].Instructions)
-					}
-					o.Board.Finish(bj, nil)
 				}
 				done()
 			}
@@ -353,34 +249,54 @@ func (e *Experiment) perAppCells(cells []cell) ([]AppColumns, error) {
 	}
 	wg.Wait()
 	if err := ctxDone(o.Ctx); err != nil {
-		return nil, fmt.Errorf("exp: sweep canceled: %w", err)
+		return nil, nil, fmt.Errorf("exp: sweep canceled: %w", err)
 	}
+	acs, err := MergeCells(apps, specs, genErrs, func(a, c int) (cpu.Breakdown, uint64, *CellError) {
+		return outs[a][c].Breakdown, outs[a][c].Instructions, cellErrs[a][c]
+	})
+	return acs, outs, err
+}
 
+// MergeCells assembles a finished apps × specs matrix by cell index
+// (application a's cell c is index a*len(specs)+c) — the one merge shared
+// by the in-process driver and the distributed coordinator, so both produce
+// the same columns and the same failure report. gen[a] is application a's
+// trace-generation failure, which fails all its cells as one entry; cell
+// reports one cell's replayed numbers or its terminal failure. Failed slots
+// keep their configuration identity with zero numbers, each application's
+// columns are normalized against its BASE column, and the failures return,
+// ordered by index, as a *PartialError alongside the columns.
+func MergeCells(apps []string, specs []CellSpec, gen []error, cell func(a, c int) (cpu.Breakdown, uint64, *CellError)) ([]AppColumns, error) {
+	nc := len(specs)
 	out := make([]AppColumns, len(apps))
 	var failed []*CellError
 	for a, app := range apps {
-		out[a].App = app
-		if genErrs[a] != nil {
-			ce := &CellError{Label: app + " (trace generation)", Index: a * nc, Attempts: 1, Err: genErrs[a]}
-			failed = append(failed, ce)
-			for c := range cells {
-				cols[a][c] = failedColumn(cells[c], ce)
-			}
-		} else {
-			for c := range cells {
-				if err := cellErrs[a][c]; err != nil {
-					ce := err.(*CellError)
-					cols[a][c] = failedColumn(cells[c], ce)
-					failed = append(failed, ce)
-				}
-			}
+		var genCE *CellError
+		if gen[a] != nil {
+			genCE = &CellError{Label: app + " (trace generation)", Index: a * nc, Attempts: 1, Err: gen[a]}
+			failed = append(failed, genCE)
 		}
-		normalize(cols[a])
-		out[a].Cols = cols[a]
+		cols := make([]Column, nc)
+		for c, spec := range specs {
+			cols[c] = spec.column()
+			ce := genCE
+			if ce == nil {
+				var b cpu.Breakdown
+				var n uint64
+				if b, n, ce = cell(a, c); ce == nil {
+					cols[c].Breakdown, cols[c].Instructions = b, n
+					continue
+				}
+				failed = append(failed, ce)
+			}
+			cols[c].Failed, cols[c].Err = true, ce
+		}
+		normalize(cols)
+		out[a] = AppColumns{App: app, Cols: cols}
 	}
 	if failed != nil {
-		// The loop above emits failures in index order already; keep the
-		// sort as a guard so the report is stable at any worker count.
+		// The loop emits failures in index order already; keep the sort as a
+		// guard so the report is stable at any worker count.
 		sort.Slice(failed, func(i, j int) bool { return failed[i].Index < failed[j].Index })
 		return out, &PartialError{Total: len(apps) * nc, Cells: failed}
 	}

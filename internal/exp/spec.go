@@ -1,14 +1,14 @@
 package exp
 
-// Serializable cell specifications. A sweep cell is normally a closure over
-// cpu.Config, which cannot cross a process boundary; CellSpec is the
-// closed, wire-encodable subset that covers every distributable sweep (the
-// figure matrices and window sweeps). The local figure constructors derive
-// their cell lists from the same specs, so the in-process and distributed
-// matrices cannot drift apart — a coordinator shipping Figure3Specs() to
-// remote workers replays exactly the cells Figure3All runs locally, and the
-// merged results are byte-identical. Ablations that need arbitrary closures
-// (predictor construction, buffer depths) stay local-only.
+// Cell specifications. CellSpec is the one cell type of the harness: a
+// closed, wire-encodable description of a replay configuration that covers
+// every sweep — the figure matrices, the window sweeps, the ablations and
+// the attribution probes. Because a spec is plain data it has a stable
+// identity, so every spec-built cell can be cached (CellKey) and shipped to
+// a remote worker (internal/dist), and the replay builds its own predictor
+// from the spec, so no two cells ever share mutable state. A coordinator
+// shipping Figure3Specs() to remote workers replays exactly the cells
+// Figure3All runs locally, and the merged results are byte-identical.
 
 import (
 	"fmt"
@@ -16,13 +16,17 @@ import (
 	"dynsched/internal/bpred"
 	"dynsched/internal/consistency"
 	"dynsched/internal/cpu"
+	"dynsched/internal/critpath"
+	"dynsched/internal/obs"
 	"dynsched/internal/trace"
 )
 
 // CellSpec names one replay cell of a figure or sweep in closed form: the
 // architecture, consistency model, window, and the handful of named knobs
 // the paper's experiments use. The zero value of each knob means "leave the
-// default", so a spec round-trips through JSON without loss.
+// default", so a spec round-trips through JSON without loss, and a knob
+// left at zero is omitted from the encoding — adding a knob never changes
+// the CellKey of a spec that does not use it.
 type CellSpec struct {
 	Label          string `json:"label"`
 	Arch           string `json:"arch"`  // "BASE", "SSBR", "SS", "DS"
@@ -32,7 +36,14 @@ type CellSpec struct {
 	Prefetch       bool   `json:"prefetch,omitempty"`
 	PerfectBP      bool   `json:"perfect_bp,omitempty"`
 	IgnoreDataDeps bool   `json:"ignore_data_deps,omitempty"`
+	StoreBufDepth  int    `json:"store_buf_depth,omitempty"` // 0 = cpu default
+	MSHRs          int    `json:"mshrs,omitempty"`           // 0 = unlimited
+	BTBEntries     int    `json:"btb_entries,omitempty"`     // 4-way BTB; 0 = paper BTB
 }
+
+// maxSpecSize bounds every size knob of a wire spec, so a hostile or
+// corrupt value cannot make a worker allocate without limit.
+const maxSpecSize = 1 << 20
 
 // Validate rejects specs that could not have come from a spec constructor —
 // the coordinator and worker both call it before trusting a wire value.
@@ -45,53 +56,95 @@ func (s CellSpec) Validate() error {
 	if _, err := consistency.ParseModel(s.Model); err != nil {
 		return fmt.Errorf("exp: spec %q: %w", s.Label, err)
 	}
-	if s.Window < 0 || s.Window > 1<<20 {
-		return fmt.Errorf("exp: spec %q: window %d out of range", s.Label, s.Window)
+	for _, k := range []struct {
+		name   string
+		v, max int
+	}{
+		{"window", s.Window, maxSpecSize},
+		{"issue width", s.IssueWidth, 64},
+		{"store buffer depth", s.StoreBufDepth, maxSpecSize},
+		{"MSHR count", s.MSHRs, maxSpecSize},
+		{"BTB size", s.BTBEntries, maxSpecSize},
+	} {
+		if k.v < 0 || k.v > k.max {
+			return fmt.Errorf("exp: spec %q: %s %d out of range", s.Label, k.name, k.v)
+		}
 	}
-	if s.IssueWidth < 0 || s.IssueWidth > 64 {
-		return fmt.Errorf("exp: spec %q: issue width %d out of range", s.Label, s.IssueWidth)
+	if s.BTBEntries != 0 {
+		if err := bpred.CheckGeometry(s.BTBEntries, 4); err != nil {
+			return fmt.Errorf("exp: spec %q: %w", s.Label, err)
+		}
 	}
 	return nil
 }
 
-// cell converts the spec to the scheduler's internal cell form.
-func (s CellSpec) cell() (cell, error) {
-	if err := s.Validate(); err != nil {
-		return cell{}, err
-	}
+// column is the spec's identity as a figure column, numbers still zero.
+func (s CellSpec) column() Column {
 	m, _ := consistency.ParseModel(s.Model)
-	spec := s
-	c := cell{label: s.Label, arch: s.Arch, model: m, window: s.Window, spec: &spec}
-	if s.IssueWidth != 0 || s.Prefetch || s.PerfectBP || s.IgnoreDataDeps {
-		s := s
-		c.mutate = func(cfg *cpu.Config) {
-			if s.IssueWidth != 0 {
-				cfg.IssueWidth = s.IssueWidth
-			}
-			if s.Prefetch {
-				cfg.Prefetch = true
-			}
-			if s.PerfectBP {
-				cfg.Predictor = bpred.Perfect{}
-			}
-			cfg.IgnoreDataDeps = s.IgnoreDataDeps
-		}
-	}
-	return c, nil
+	return Column{Label: s.Label, Model: m, Arch: s.Arch, Window: s.Window}
 }
 
-// specCells converts a constructor-produced spec list; the constructors only
-// emit valid specs, so a failure here is a programming error.
-func specCells(specs []CellSpec) []cell {
-	cells := make([]cell, len(specs))
-	for i, s := range specs {
-		c, err := s.cell()
-		if err != nil {
-			panic(err)
-		}
-		cells[i] = c
+// probe selects the instruments the matrix driver attaches to each replay.
+// Only unprobed cells go through the result cache: a probe's output is not
+// part of the cached payload.
+type probe int
+
+const (
+	noProbe       probe = iota
+	critPathProbe       // a critpath.Collector per attempt (hidelat analyze)
+	timelineProbe       // an interval sampler plus a collector (hidelat timeline)
+)
+
+// cellOutcome is one replayed cell: the numbers every sweep reports, plus
+// the probe's instruments when one was attached.
+type cellOutcome struct {
+	cellResult
+	attr     critpath.Attribution // critPathProbe
+	timeline *obs.Timeline        // timelineProbe
+}
+
+// replay runs one attempt of the cell over tr with fresh probe
+// instruments — a retried cell must not accumulate a failed attempt's
+// partial charges. The predictor is built here too, so concurrent replays
+// never share predictor state. name registers a timeline with the live
+// hub.
+func (s CellSpec) replay(tr *trace.Trace, o *Options, p probe, name string) (cellOutcome, error) {
+	if err := s.Validate(); err != nil {
+		return cellOutcome{}, err
 	}
-	return cells
+	m, _ := consistency.ParseModel(s.Model)
+	cfg := cpu.Config{
+		Model: m, Window: s.Window, IssueWidth: s.IssueWidth, Prefetch: s.Prefetch,
+		IgnoreDataDeps: s.IgnoreDataDeps, StoreBufDepth: s.StoreBufDepth, MSHRs: s.MSHRs,
+		Ctx: o.Ctx, NoTimeSkip: o.NoTimeSkip,
+	}
+	switch {
+	case s.PerfectBP:
+		cfg.Predictor = bpred.Perfect{}
+	case s.BTBEntries != 0:
+		btb, err := bpred.NewBTB(s.BTBEntries, 4)
+		if err != nil {
+			return cellOutcome{}, err
+		}
+		cfg.Predictor = btb
+	}
+	if p != noProbe {
+		cfg.CritPath = critpath.NewCollector()
+	}
+	if p == timelineProbe {
+		cfg.Timeline = obs.NewTimeline(timelineShift, timelineMaxPoints)
+		cfg.Timeline.CauseNames = timelineCauseNames()
+		o.Timelines.Register(name, cfg.Timeline)
+	}
+	res, err := runArch(tr, s.Arch, cfg)
+	if err != nil {
+		return cellOutcome{}, err
+	}
+	out := cellOutcome{cellResult: cellResult{Breakdown: res.Breakdown, Instructions: res.Instructions}, timeline: cfg.Timeline}
+	if p == critPathProbe {
+		out.attr = cfg.CritPath.Attribution()
+	}
+	return out, nil
 }
 
 // Figure3Specs is the §4.1 processor/model matrix in serializable form:
@@ -170,9 +223,61 @@ func SCPrefetchSpecs() []CellSpec {
 	return specs
 }
 
+// analyzeSpecs is the attribution matrix of the analyze and timeline
+// probes: the Figure 3 cells under RC plus the BASE reference — the two
+// static models and the full DS window sweep, along which the paper's
+// conclusion (memory-latency-bound at small windows, branch-prediction-
+// bound at large ones) must show up.
+func analyzeSpecs() []CellSpec {
+	var specs []CellSpec
+	for _, s := range Figure3Specs() {
+		if s.Arch == "BASE" || s.Model == "RC" {
+			specs = append(specs, s)
+		}
+	}
+	return specs
+}
+
+// ablationSpecs is an ablation sweep: BASE as the reference, then one RC
+// DS cell per value of a knob at a fixed window.
+func ablationSpecs(window int, values []int, set func(s *CellSpec, v int)) []CellSpec {
+	specs := []CellSpec{{Label: "BASE", Arch: "BASE", Model: "SC"}}
+	for _, v := range values {
+		s := CellSpec{Arch: "DS", Model: "RC", Window: window}
+		set(&s, v)
+		specs = append(specs, s)
+	}
+	return specs
+}
+
+// storeBufferSpecs sweeps the DS store-buffer depth under RC at window 64.
+func storeBufferSpecs() []CellSpec {
+	return ablationSpecs(64, []int{1, 2, 4, 8, 16, 32}, func(s *CellSpec, v int) {
+		s.Label, s.StoreBufDepth = fmt.Sprintf("SB%d", v), v
+	})
+}
+
+// mshrSpecs sweeps the number of outstanding misses under RC at window 64;
+// the last cell is unlimited.
+func mshrSpecs() []CellSpec {
+	return ablationSpecs(64, []int{1, 2, 4, 8, 16, 0}, func(s *CellSpec, v int) {
+		s.Label, s.MSHRs = fmt.Sprintf("MSHR%d", v), v
+		if v == 0 {
+			s.Label = "MSHRinf"
+		}
+	})
+}
+
+// btbSpecs sweeps the 4-way BTB size under RC at window 128.
+func btbSpecs() []CellSpec {
+	return ablationSpecs(128, []int{64, 256, 1024, 2048, 8192}, func(s *CellSpec, v int) {
+		s.Label, s.BTBEntries = fmt.Sprintf("BTB%d", v), v
+	})
+}
+
 // SweepSpecs maps a distributable experiment step name to its cell specs.
-// The step names match the hidelat experiments; ok is false for steps whose
-// cells need closures (ablations) or that are not cell sweeps at all.
+// The step names match the hidelat experiments; ok is false for the
+// per-application ablations and for steps that are not cell sweeps.
 func SweepSpecs(step string) (specs []CellSpec, ok bool) {
 	switch step {
 	case "fig3":
@@ -197,14 +302,16 @@ func SweepSpecs(step string) (specs []CellSpec, ok bool) {
 // neither of which changes results), so the returned column is
 // byte-identical to running the same cell in-process on the coordinator.
 func RunSpec(tr *trace.Trace, spec CellSpec, o *Options) (Column, error) {
-	c, err := spec.cell()
-	if err != nil {
-		return Column{}, err
-	}
 	if o == nil {
 		o = new(Options)
 	}
-	return c.run(tr, o)
+	out, err := spec.replay(tr, o, noProbe, "")
+	if err != nil {
+		return Column{}, err
+	}
+	col := spec.column()
+	col.Breakdown, col.Instructions = out.Breakdown, out.Instructions
+	return col, nil
 }
 
 // SpecColumn reconstructs a successful cell's column from the spec identity
@@ -215,18 +322,9 @@ func SpecColumn(spec CellSpec, b cpu.Breakdown, instructions uint64) (Column, er
 	if err := spec.Validate(); err != nil {
 		return Column{}, err
 	}
-	m, _ := consistency.ParseModel(spec.Model)
-	return Column{
-		Label: spec.Label, Model: m, Arch: spec.Arch, Window: spec.Window,
-		Breakdown: b, Instructions: instructions,
-	}, nil
-}
-
-// FailedSpecColumn is the placeholder a terminally failed distributed cell
-// leaves in its slot, mirroring the local scheduler's failed-cell marking.
-func FailedSpecColumn(spec CellSpec, ce *CellError) Column {
-	m, _ := consistency.ParseModel(spec.Model)
-	return failedColumn(cell{label: spec.Label, arch: spec.Arch, model: m, window: spec.Window}, ce)
+	col := spec.column()
+	col.Breakdown, col.Instructions = b, instructions
+	return col, nil
 }
 
 // NormalizeColumns fills the Normalized and ReadHidden fields of a finished
