@@ -45,6 +45,10 @@ func skipEquivCells() []struct {
 		// candidate, the subtlest of the jump targets.
 		{label: "DS64pf", arch: "DS", window: 64,
 			extra: func(c *cpu.Config) { c.Prefetch = true; c.MSHRs = 4 }},
+		// Four-wide issue retires in bursts, so the burst-retirement credit
+		// pops stall cycles that a time-skip stretch charged in bulk.
+		{label: "DS64w4", arch: "DS", window: 64,
+			extra: func(c *cpu.Config) { c.IssueWidth = 4 }},
 	}
 	return cells
 }
