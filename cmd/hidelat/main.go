@@ -122,7 +122,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -220,11 +219,12 @@ func run(args []string) error {
 	}
 
 	// Validate resource flags up front: a bad value should be a usage error
-	// now, not a confusing failure three simulations in. An explicit
-	// -tracecpu must name a simulated processor; only the default wraps
-	// (processor 1 of a one-processor machine is processor 0).
+	// now, not a confusing failure three simulations in.
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := exp.CheckMachine(*cpus, *traceCPU, set["tracecpu"], uint64(*latency)); err != nil {
+		return err
+	}
 	switch {
 	case *workers < 0:
 		return fmt.Errorf("-j must be >= 0, got %d", *workers)
@@ -232,12 +232,6 @@ func run(args []string) error {
 		return fmt.Errorf("-retries must be >= 0, got %d", *retries)
 	case *timeout < 0:
 		return fmt.Errorf("-timeout must be >= 0, got %v", *timeout)
-	case *cpus <= 0:
-		return fmt.Errorf("-cpus must be >= 1, got %d", *cpus)
-	case *traceCPU < 0 || set["tracecpu"] && *traceCPU >= *cpus:
-		return fmt.Errorf("-tracecpu must be in [0,%d) for -cpus %d, got %d", *cpus, *cpus, *traceCPU)
-	case *latency < 1 || *latency > math.MaxUint32:
-		return fmt.Errorf("-latency must be in [1,%d] cycles, got %d", uint32(math.MaxUint32), *latency)
 	case *leaseDur <= 0:
 		return fmt.Errorf("-lease must be > 0, got %v", *leaseDur)
 	case *queueMax < 1:

@@ -89,6 +89,11 @@ func gen(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("gen: -o output file is required")
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := exp.CheckMachine(*cpus, *traceCPU, set["tracecpu"], uint64(*latency)); err != nil {
+		return fmt.Errorf("gen: %w", err)
+	}
 	scale, err := apps.ParseScale(*scaleName)
 	if err != nil {
 		return err
@@ -295,6 +300,9 @@ func replay(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: tracetool replay [flags] <file>")
 	}
+	if *arch == "BASE" && *pipeOut != "" {
+		return fmt.Errorf("replay: -pipe-trace-out needs a pipelined model, and -arch BASE has no pipeline")
+	}
 	path := fs.Arg(0)
 	// The replay streams the file through a cursor; only a DS window beyond
 	// the cursor's pointer-retention lookback needs the whole trace in
@@ -362,8 +370,7 @@ func replay(args []string) error {
 	} else {
 		switch *arch {
 		case "BASE":
-			res, err = cpu.RunBaseStream(cur)
-			cpu.PublishResult(reg, cfg.MetricsPrefix, res)
+			res, err = cpu.RunBaseStream(cur, cfg)
 		case "SSBR":
 			res, err = cpu.RunSSBRStream(cur, cfg)
 		case "SS":
@@ -398,7 +405,7 @@ func replay(args []string) error {
 		return err
 	}
 	defer closeBase()
-	base, err := cpu.RunBaseStream(bc)
+	base, err := cpu.RunBaseStream(bc, cpu.Config{})
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -124,5 +125,34 @@ func TestToolErrors(t *testing.T) {
 	}
 	if err := run([]string{"convert", "-o", filepath.Join(dir, "out.trace"), "/nonexistent/file.trace"}); err == nil {
 		t.Error("convert of missing file accepted")
+	}
+
+	// Flag values that used to be rewritten silently (or panic) are usage
+	// errors naming the offending flags.
+	out := filepath.Join(dir, "bad.trace")
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"gen", "-app", "lu", "-scale", "small", "-cpus", "2", "-latency", "0", "-o", out}, []string{"-latency"}},
+		{[]string{"gen", "-app", "lu", "-scale", "small", "-cpus", "2", "-latency", "4294967346", "-o", out}, []string{"-latency"}},
+		{[]string{"gen", "-app", "lu", "-scale", "small", "-cpus", "2", "-tracecpu", "5", "-o", out}, []string{"-tracecpu"}},
+		{[]string{"gen", "-app", "lu", "-scale", "small", "-cpus", "2", "-tracecpu", "-1", "-o", out}, []string{"-tracecpu"}},
+		{[]string{"gen", "-app", "lu", "-scale", "small", "-cpus", "0", "-o", out}, []string{"-cpus"}},
+		{[]string{"replay", "-arch", "BASE", "-pipe-trace-out", filepath.Join(dir, "p.json"), file}, []string{"-pipe-trace-out", "-arch BASE"}},
+	} {
+		err := run(tc.args)
+		if err == nil {
+			t.Errorf("%v accepted, want a usage error", tc.args)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%v: err = %v, want it to name %s", tc.args, err, w)
+			}
+		}
+	}
+	if _, err := os.Stat(out); err == nil {
+		t.Error("a rejected gen wrote its output file")
 	}
 }

@@ -16,124 +16,62 @@ import (
 // operations add their wait and transfer components. The consistency model
 // is irrelevant for BASE because nothing overlaps anyway.
 func RunBase(tr *trace.Trace) Result {
-	return RunBaseCP(tr, nil)
+	return RunBaseObs(tr, nil, nil)
 }
 
-// RunBaseCP is RunBase with critical-path attribution. BASE takes no
-// Config, so — like obs.PublishResult — the collector hook is a separate
-// entry point rather than a Config field. With BASE nothing overlaps, so
-// the attribution is exact: every stall cycle's cause is the instruction's
-// own memory or synchronization latency, and each instruction's
-// last-arriving edge is that same cause (busy when it added no stall).
-func RunBaseCP(tr *trace.Trace, cp *critpath.Collector) Result {
-	return RunBaseObs(tr, cp, nil)
-}
-
-// RunBaseObs is RunBase with the full observability hook set BASE supports:
-// critical-path attribution plus interval timeline sampling. BASE has no
-// cycle loop — it charges each instruction's cycles in one step — so the
-// sampler interpolates within an instruction's charges (the busy cycle
-// first, then the stall stretch) whenever they cross a boundary, keeping
-// the emitted snapshots exactly aligned.
+// RunBaseObs is RunBase with critical-path attribution and interval
+// timeline sampling. With BASE nothing overlaps, so the attribution is
+// exact: every stall cycle's cause is the instruction's own memory or
+// synchronization latency, and so is its last-arriving edge (busy when it
+// added no stall). BASE charges each instruction's cycles in one step, so
+// the timeline snapshots a boundary inside that stretch at its exact cycle.
 func RunBaseObs(tr *trace.Trace, cp *critpath.Collector, tl *obs.Timeline) Result {
 	src := sliceSource(tr)
-	res, _ := runBase(&src, cp, tl) // the materialized arm cannot fail
+	res, _ := runBase(&src, Config{CritPath: cp, Timeline: tl}) // the materialized arm cannot fail
 	return res
 }
 
 // runBase is the BASE replay core over an eventSource; the streaming arm
-// can surface a decode or integrity error from the cursor.
-func runBase(src *eventSource, cp *critpath.Collector, tl *obs.Timeline) (Result, error) {
-	var b Breakdown
-	var retired uint64
-	basePoint := func(cycle uint64, pb Breakdown, instr uint64, causes []uint64) obs.TimelinePoint {
-		return obs.TimelinePoint{
-			Cycle: cycle, Instructions: instr,
-			Busy: pb.Busy, Sync: pb.Sync, Read: pb.Read,
-			Write: pb.Write, Branch: pb.Branch, Other: pb.Other,
-			Causes: causes,
-		}
-	}
+// can surface a decode or integrity error from the cursor. Of cfg it reads
+// only the observability hooks: metrics, critical path and timeline.
+func runBase(src *eventSource, cfg Config) (Result, error) {
+	acct := newAccount(&cfg)
 	for i := 0; i < src.n; i++ {
 		e, err := src.fetch()
 		if err != nil {
 			return Result{}, err
 		}
-		prev := b
-		var baseCauses [critpath.NumCauses]uint64
-		if tl != nil && cp != nil {
-			baseCauses = cp.CycleCounts()
-		}
-		var d uint64
-		fine := critpath.Busy
-		b.Busy++
-		retired++
+		var (
+			s stall
+			d uint64
+		)
 		switch e.Class() {
 		case isa.ClassLoad:
 			d = uint64(e.Latency) - 1
-			b.Read += d
-			fine = critpath.ReadLat
+			s = stall{catRead, critpath.ReadLat}
 		case isa.ClassStore:
 			d = uint64(e.Latency) - 1
-			b.Write += d
-			fine = critpath.WriteLat
+			s = stall{catWrite, critpath.WriteLat}
 		case isa.ClassSync:
 			// Acquires (lock, event wait, barrier) stall for their wait and
 			// transfer components; releases (unlock, event set) are writes
 			// and their latency is charged as write time — "release
 			// operations are included in the total write miss time".
 			d = uint64(e.Wait) + uint64(e.Latency) - 1
+			s = stall{catWrite, critpath.WriteLat}
 			if isAcquireClass(e.Instr.Op) {
-				b.Sync += d
-				fine = critpath.SyncWait
-			} else {
-				b.Write += d
-				fine = critpath.WriteLat
+				s = stall{catSync, critpath.SyncWait}
 			}
 		}
+		acct.bulk(busyCycle, 1, uint64(i+1))
 		if d > 0 {
-			cp.StallN(fine, d)
-			cp.Edge(fine)
+			acct.bulk(s, d, uint64(i+1))
 		} else {
-			cp.Edge(critpath.Busy)
+			s = busyCycle
 		}
-		if tl != nil {
-			// This instruction's cycles run from prev.Total() exclusive to
-			// b.Total() inclusive: the busy cycle first, then d stall
-			// cycles of a single category. A boundary bb inside that span
-			// snapshots the busy cycle plus bb-prevTotal-1 stall cycles.
-			prevTotal := prev.Total()
-			newTotal := b.Total()
-			for bb := tl.Boundary(); bb <= newTotal; bb = tl.Boundary() {
-				part := bb - prevTotal - 1
-				pb := prev
-				pb.Busy++
-				switch {
-				case b.Read != prev.Read:
-					pb.Read += part
-				case b.Write != prev.Write:
-					pb.Write += part
-				case b.Sync != prev.Sync:
-					pb.Sync += part
-				}
-				var causes []uint64
-				if cp != nil {
-					cc := baseCauses
-					cc[fine] += part
-					causes = append([]uint64(nil), cc[:]...)
-				}
-				tl.Record(basePoint(bb, pb, retired, causes))
-			}
-		}
+		cfg.CritPath.Edge(s.cause)
 	}
-	cp.Finish(b.Total())
-	if tl != nil {
-		var causes []uint64
-		if cp != nil {
-			cc := cp.CycleCounts()
-			causes = append([]uint64(nil), cc[:]...)
-		}
-		tl.Finish(basePoint(b.Total(), b, retired, causes))
-	}
-	return Result{Breakdown: b, Instructions: uint64(src.n)}, nil
+	res := Result{Breakdown: acct.finish(acct.cycles(), uint64(src.n)), Instructions: uint64(src.n)}
+	publishResult(&cfg, res)
+	return res, nil
 }

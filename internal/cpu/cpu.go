@@ -200,21 +200,22 @@ type Config struct {
 	// ticker, as one labelled lane so concurrent replays do not clobber each
 	// other's rows (obtain one via Progress.Lane).
 	Progress *obs.Lane
-	// CritPath collects critical-path cycle attribution: every stall cycle
-	// the model charges is mirrored into a fine-grained cause bucket, and
-	// each retired instruction records its last-arriving dependence edge.
-	// The collector is per-replay (not safe for sharing across cells); the
-	// buckets it accumulates sum exactly to Breakdown.Total(). nil (the
-	// default) collects nothing and costs only nil checks.
+	// CritPath collects critical-path cycle attribution: the model
+	// classifies every stall cycle as a Figure 3 category and a fine cause
+	// at once, the cause lands in the collector's bucket, and each retired
+	// instruction records its last-arriving dependence edge. The collector
+	// is per-replay (not safe for sharing across cells); the buckets it
+	// accumulates sum exactly to Breakdown.Total(). nil (the default)
+	// collects nothing and costs only nil checks.
 	CritPath *critpath.Collector
 	// Timeline, when non-nil, receives cumulative state snapshots at
 	// aligned 2^k-cycle boundaries (stall breakdown, retired instructions,
 	// structure-occupancy integrals, and — when CritPath is also set —
-	// fine-cause cycle counts). Sampling is purely observational: boundary
-	// snapshots are emitted at exact cycles even under time-skip (a jump
-	// crossing k boundaries interpolates k snapshots inside the
-	// bulk-charged stretch), so the series is byte-identical skip vs
-	// noskip and the simulated Result is untouched.
+	// fine-cause cycle counts), read from the same charges as the
+	// Breakdown. Sampling is purely observational: a charge of many cycles
+	// at once (a time-skip jump, a BASE instruction) snapshots each
+	// boundary it crosses at its exact cycle, so the series is
+	// byte-identical skip vs noskip and the simulated Result is untouched.
 	Timeline *obs.Timeline
 
 	// NoTimeSkip forces the cycle-stepped simulation path. By default the

@@ -65,15 +65,6 @@ const (
 	evPerform                    // memory access performs
 )
 
-// Stall attribution categories.
-const (
-	catSync uint8 = iota
-	catRead
-	catWrite
-	catBranch
-	catOther
-)
-
 type dsEvent struct {
 	at   uint64
 	kind dsEventKind
@@ -170,41 +161,6 @@ func (h *seqHeap) pop() int {
 	return top
 }
 
-// stallStack is the LIFO of charged stall categories used for burst credit,
-// run-length encoded: a stretch of identical charges is one run. The
-// encoding is what lets the time-skip path push a whole quiet stretch in
-// O(1) without the stack growing with simulated time, while popping remains
-// strictly one charged cycle at a time — the pop order is identical to a
-// flat per-cycle stack, so the credited categories match the cycle-stepped
-// accounting exactly.
-type stallRun struct {
-	cat uint8
-	n   uint64
-}
-
-type stallStack []stallRun
-
-// pushN records n consecutive stall cycles of category cat.
-func (s *stallStack) pushN(cat uint8, n uint64) {
-	if l := len(*s); l > 0 && (*s)[l-1].cat == cat {
-		(*s)[l-1].n += n
-		return
-	}
-	*s = append(*s, stallRun{cat: cat, n: n})
-}
-
-// pop removes and returns the most recently charged cycle's category.
-// The caller must check len(*s) > 0 first.
-func (s *stallStack) pop() uint8 {
-	l := len(*s)
-	c := (*s)[l-1].cat
-	(*s)[l-1].n--
-	if (*s)[l-1].n == 0 {
-		*s = (*s)[:l-1]
-	}
-	return c
-}
-
 const maxDSCycles = uint64(1) << 40
 
 // RunDS replays tr through the dynamically scheduled processor.
@@ -229,11 +185,9 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 
 	scratch := getDSScratch(cfg.Window)
 	var (
-		cat        [5]uint64            // stall cycles by category (see catSync..catOther)
-		stallStack = scratch.stallStack // LIFO of charged stall categories, for burst credit
-		credit     int                  // excess retirements not yet converted to credit
-		window     = cfg.Window
-		entries    = scratch.entries
+		acct    = newAccount(&cfg)
+		window  = cfg.Window
+		entries = scratch.entries
 
 		headSeq, nextSeq int // ROB occupancy is [headSeq, nextSeq)
 		idx              int // next trace event to decode
@@ -251,7 +205,6 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 		fetchBlockedBy = -1
 		mispredicts    uint64
 		prefetches     uint64
-		occupancySum   uint64
 		hist           = NewDelayHistogram()
 		t              uint64
 	)
@@ -259,24 +212,26 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 		// Hand the (possibly grown) slices back so the pool retains their
 		// capacity for the next replay.
 		scratch.evq, scratch.dispatch = evq, dispatch
-		scratch.memq, scratch.stallStack = memq, stallStack
+		scratch.memq, scratch.runs = memq, acct.runs
 		scratch.release()
 	}()
 	for r := range lastWriter {
 		lastWriter[r] = -1
 	}
 
-	// Observability: occupancy/delay histograms when metrics are on, batched
-	// per run so the hot loop never touches the shared registry. The batches
-	// are registry-registered, so a snapshot taken mid-run (live /metrics,
+	// The account keeps the burst-retirement credit stack and integrates
+	// the occupancy of the ROB, the store buffer and the outstanding MSHRs.
+	// Occupancy/delay histograms when metrics are on are batched per run so
+	// the hot loop never touches the shared registry. The batches are
+	// registry-registered, so a snapshot taken mid-run (live /metrics,
 	// -metrics-out on error) still sees their pending samples.
-	var robHist, sbHist, mshrHist, delayHist *obs.HistogramBatch
+	acct.credits, acct.runs = true, scratch.runs
+	acct.histogram(&cfg, 0, "rob.occupancy", occupancyBuckets)
+	acct.histogram(&cfg, 1, "storebuf.occupancy", bufferBuckets)
+	acct.histogram(&cfg, 2, "mshr.outstanding", bufferBuckets)
+	var delayHist *obs.HistogramBatch
 	if cfg.Metrics != nil {
-		p := cfg.MetricsPrefix
-		robHist = cfg.Metrics.HistogramBatch(obs.Prefixed(p, "rob.occupancy"), occupancyBuckets...)
-		sbHist = cfg.Metrics.HistogramBatch(obs.Prefixed(p, "storebuf.occupancy"), bufferBuckets...)
-		mshrHist = cfg.Metrics.HistogramBatch(obs.Prefixed(p, "mshr.outstanding"), bufferBuckets...)
-		delayHist = cfg.Metrics.HistogramBatch(obs.Prefixed(p, "readmiss.issue_delay"), delayBuckets...)
+		delayHist = cfg.Metrics.HistogramBatch(obs.Prefixed(cfg.MetricsPrefix, "readmiss.issue_delay"), delayBuckets...)
 	}
 	at := func(seq int) *dsEntry { return &entries[seq%window] }
 	inROB := func(seq int) bool {
@@ -310,108 +265,71 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 
 	var srcBuf [2]uint8
 
-	// Critical-path attribution (package critpath): each stall cycle the
-	// coarse accounting below charges is mirrored into a fine cause bucket,
-	// refined at the same decision points — e.g. an unissued head load is
-	// split into consistency-blocked vs MSHR-exhausted by replaying the
-	// cache port's own issue test. fineStall is evaluated only on stall
-	// cycles with a collector attached; the default path pays nil checks.
+	// classify is the stall charged to a cycle that retires nothing: the
+	// blocking reason at the reorder-buffer head, as a Figure 3 category and
+	// a critical-path cause decided together.
 	cp := cfg.CritPath
-	fineStall := func() critpath.Cause {
-		if headSeq < nextSeq {
-			h := at(headSeq)
-			switch h.class {
-			case isa.ClassLoad:
-				m := h.mop
-				if m.issued {
-					return critpath.ReadLat
-				}
-				if !m.addrReady {
-					if h.waitsOnLoad {
-						return critpath.ReadLat // load-use address chain
-					}
-					return critpath.DataDep
-				}
-				// Ready but the port has not accepted it: mirror issueMem's
-				// gates — consistency ordering first, then the MSHR bound.
-				var pend consistency.Pending
-				for _, om := range memq {
-					if !om.performed && om.seq < h.seq {
-						pendingOf(om, &pend)
-					}
-				}
-				if !consistency.MayIssue(cfg.Model, h.kind, pend) && !cfg.SpeculativeLoads {
-					return critpath.Consistency
-				}
-				if cfg.MSHRs > 0 && outMiss >= cfg.MSHRs && m.latency > 1 {
-					return critpath.MSHRFull
-				}
-				return critpath.ReadLat // allowed; waiting on the single port
-			case isa.ClassStore:
-				if h.waitsOnLoad && !h.done {
-					return critpath.ReadLat
-				}
-				if !h.done {
-					return critpath.DataDep
-				}
-				return critpath.BufferFull // store buffer full at retirement
-			case isa.ClassSync:
-				if isAcquireClass(h.ev.Instr.Op) {
-					return critpath.SyncWait
-				}
-				if h.waitsOnLoad && !h.done {
-					return critpath.ReadLat
-				}
-				if !h.done {
-					return critpath.DataDep
-				}
-				return critpath.BufferFull // release blocked on the store buffer
-			default: // ALU/branch/halt not yet executed
-				if h.waitsOnLoad {
-					return critpath.ReadLat // tail of a load-use chain
-				}
-				if h.depCount > 0 {
-					return critpath.DataDep
-				}
-				return critpath.BranchRefill // pipeline fill after redirect
+	classify := func() stall {
+		if headSeq == nextSeq {
+			switch {
+			case fetchBlockedBy >= 0:
+				return stall{catBranch, critpath.BranchRefill}
+			case memLive > 0 && idx >= src.n:
+				return stall{catWrite, critpath.WriteLat} // draining the store buffer at the end
 			}
+			return stall{catOther, critpath.Other}
 		}
-		if fetchBlockedBy >= 0 {
-			return critpath.BranchRefill
+		h := at(headSeq)
+		switch h.class {
+		case isa.ClassLoad:
+			if h.mop.issued {
+				return stall{catRead, critpath.ReadLat}
+			}
+			// Not yet at the cache port: the cycle is charged to the oldest
+			// unperformed access holding the load up (e.g. an incomplete
+			// write under SC), as in the static models' attribution.
+			s := stall{catRead, critpath.ReadLat}
+			for _, om := range memq {
+				if !om.performed {
+					s.cat = accessStall(om.kind).cat
+					break
+				}
+			}
+			switch {
+			case !h.mop.addrReady:
+				if !h.waitsOnLoad { // else a load-use address chain
+					s.cause = critpath.DataDep
+				}
+			case cp == nil:
+				// The cause split below costs a memory-queue scan; only the
+				// collector reads it.
+			case !cfg.SpeculativeLoads && !consistency.MayIssue(cfg.Model, h.kind, pendingBefore(memq, h.seq)):
+				// issueMem's gates in order: consistency ordering first,
+				// then the MSHR bound; otherwise it waits on the port.
+				s.cause = critpath.Consistency
+			case cfg.MSHRs > 0 && outMiss >= cfg.MSHRs && h.mop.latency > 1:
+				s.cause = critpath.MSHRFull
+			}
+			return s
+		case isa.ClassStore, isa.ClassSync:
+			switch {
+			case h.class == isa.ClassSync && isAcquireClass(h.ev.Instr.Op):
+				return stall{catSync, critpath.SyncWait}
+			case h.waitsOnLoad && !h.done:
+				return stall{catRead, critpath.ReadLat}
+			case !h.done:
+				return stall{catWrite, critpath.DataDep}
+			}
+			return stall{catWrite, critpath.BufferFull} // store buffer full at retirement
 		}
-		if memLive > 0 && idx >= src.n {
-			return critpath.WriteLat // draining buffered writes at the end
+		// ALU/branch/halt not yet executed.
+		switch {
+		case h.waitsOnLoad:
+			return stall{catRead, critpath.ReadLat} // tail of a load-use chain
+		case h.depCount > 0:
+			return stall{catBranch, critpath.DataDep}
 		}
-		return critpath.Other
-	}
-	var fineCat critpath.Cause // this cycle's fine cause (valid when charged)
-
-	// Interval timeline sampling: cumulative state snapshots at aligned
-	// 2^k-cycle boundaries. At the top of the body for cycle t the live
-	// counters cover cycles 0..t-1 — exactly boundary t — and a time-skip
-	// jump interpolates each crossed boundary inside the bulk-charged
-	// stretch, so the series is byte-identical skip vs noskip. Busy is the
-	// same residual the final Breakdown uses (cycle − Σstalls), which is
-	// why a snapshot needs only the stall-category array: burst-retirement
-	// credit pops show up as stall counters *decreasing* between
-	// boundaries, i.e. signed interval deltas.
-	tl := cfg.Timeline
-	var tlSBSum, tlMSHRSum uint64
-	dsPoint := func(cycle uint64, stalls [5]uint64, occSum, sbSum, mshrSum uint64, extra critpath.Cause, extraN uint64) obs.TimelinePoint {
-		st := stalls[catSync] + stalls[catRead] + stalls[catWrite] + stalls[catBranch] + stalls[catOther]
-		p := obs.TimelinePoint{
-			Cycle: cycle, Instructions: uint64(headSeq),
-			Busy: cycle - st,
-			Sync: stalls[catSync], Read: stalls[catRead], Write: stalls[catWrite],
-			Branch: stalls[catBranch], Other: stalls[catOther],
-			WindowSum: occSum, StoreBufSum: sbSum, MSHRSum: mshrSum,
-		}
-		if cp != nil {
-			cc := cp.CycleCounts()
-			cc[extra] += extraN
-			p.Causes = append([]uint64(nil), cc[:]...)
-		}
-		return p
+		return stall{catBranch, critpath.BranchRefill} // pipeline refill after redirect or cold start
 	}
 
 	// Livelock watchdog and cooperative cancellation, polled on a stride so
@@ -437,7 +355,7 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 	// decode, exactly one stall charge — every cycle until the next scheduled
 	// event behaves identically, so simulated time jumps straight there and
 	// the skipped stall cycles are charged in bulk. The accounting below is
-	// byte-identical to stepping: same stall categories, same stall-stack
+	// byte-identical to stepping: same stall categories, same credit-stack
 	// contents (run-length encoded), same occupancy sums and histogram
 	// observations.
 	var (
@@ -466,9 +384,9 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 		}
 		iter++
 
-		if tl != nil && t == tl.Boundary() {
-			tl.Record(dsPoint(t, cat, occupancySum, tlSBSum, tlMSHRSum, 0, 0))
-		}
+		// Interval timeline sampling: at the top of the body for cycle t the
+		// account covers cycles 0..t-1 — exactly boundary t.
+		acct.sample(t, uint64(headSeq))
 
 		prevIdx := idx
 
@@ -586,7 +504,7 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 				// retirement; anything else flowed through busily.
 				switch {
 				case h.headAt < t:
-					cp.EdgeLast()
+					acct.edgeLast()
 				case h.doneAt < t:
 					cp.Edge(critpath.InOrder)
 				default:
@@ -601,83 +519,21 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 		}
 
 		// Stall attribution: a cycle with no retirement is classified by the
-		// blocking reason at the reorder-buffer head and pushed on the stall
-		// stack. A cycle that retires k > 1 instructions proves that k-1 of
-		// the most recent stall cycles actually overlapped useful buffered
-		// work, so those cycles are reclassified as busy (popped). This
+		// blocking reason at the reorder-buffer head and charged as a stall.
+		// A cycle that retires k > 1 instructions proves that k-1 of the most
+		// recent stall cycles actually overlapped useful buffered work, so
+		// the account credits them back as busy, in units of the issue width
+		// (one width's worth of retirements = one cycle of useful work). This
 		// keeps the busy section equal to the useful cycles, as in Figure 3.
-		stallCat := catOther // category charged this cycle (valid when retired == 0)
 		if retired == 0 {
-			c := catOther
-			if headSeq < nextSeq {
-				h := at(headSeq)
-				switch h.class {
-				case isa.ClassLoad:
-					if h.mop.issued {
-						c = catRead
-					} else {
-						// Blocked by consistency constraints: charge the
-						// oldest unperformed access holding it up (e.g. an
-						// incomplete write under SC), as in the static
-						// models' attribution.
-						c = oldestPendingCategory(memq)
-					}
-				case isa.ClassStore:
-					if h.waitsOnLoad && !h.done {
-						c = catRead
-					} else {
-						c = catWrite
-					}
-				case isa.ClassSync:
-					if isAcquireClass(h.ev.Instr.Op) {
-						c = catSync
-					} else if h.waitsOnLoad && !h.done {
-						c = catRead
-					} else {
-						c = catWrite
-					}
-				default: // ALU/branch/halt not yet executed
-					if h.waitsOnLoad {
-						c = catRead // tail of a load-use chain
-					} else {
-						c = catBranch // pipeline refill after redirect or cold start
-					}
-				}
-			} else if fetchBlockedBy >= 0 {
-				c = catBranch
-			} else if memLive > 0 && idx >= src.n {
-				c = catWrite // draining the store buffer at the end
-			}
-			cat[c]++
-			stallStack.pushN(c, 1)
-			stallCat = c
-			if cp != nil {
-				fineCat = fineStall()
-				cp.Stall(fineCat)
-			}
-		} else if retired > cfg.IssueWidth {
-			// A cycle that retires more than the issue width proves that
-			// earlier stall cycles overlapped useful buffered work; credit
-			// them in units of the issue width (one width's worth of
-			// retirements = one cycle of useful work).
-			credit += retired - cfg.IssueWidth
-			for credit >= cfg.IssueWidth && len(stallStack) > 0 {
-				cat[stallStack.pop()]--
-				cp.Uncharge()
-				credit -= cfg.IssueWidth
+			acct.charge(classify(), 1)
+		} else {
+			acct.busy()
+			if retired > cfg.IssueWidth {
+				acct.credit(retired-cfg.IssueWidth, cfg.IssueWidth)
 			}
 		}
-
-		occupancySum += uint64(nextSeq - headSeq)
-		if tl != nil {
-			tlSBSum += uint64(sbCount)
-			tlMSHRSum += uint64(outMiss)
-		}
-		if cfg.Metrics != nil {
-			robHist.Observe(uint64(nextSeq - headSeq))
-			sbHist.Observe(uint64(sbCount))
-			mshrHist.Observe(uint64(outMiss))
-		}
+		acct.occupy([3]uint64{uint64(nextSeq - headSeq), uint64(sbCount), uint64(outMiss)})
 		if cfg.Progress != nil && t&(obs.PublishEvery-1) == 0 {
 			cfg.Progress.Publish(uint64(headSeq), t)
 		}
@@ -833,41 +689,9 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 				next = maxDSCycles // the absolute guard fires at the same cycle as stepping
 			}
 			if next != ^uint64(0) && next > t+1 {
-				delta := next - t - 1 // quiet cycles t+1 .. next-1
-				occ := uint64(nextSeq - headSeq)
-				if tl != nil {
-					// The jump lands at next with the top-of-body check
-					// already past boundary next, so interpolate every
-					// boundary b in (t, next] here, before the bulk charges
-					// land: b snapshots the state after cycles 0..b-1, i.e.
-					// the fixed point plus b-t-1 repeats of its single
-					// stall charge, with occupancy frozen and no retires.
-					for b := tl.Boundary(); b <= next; b = tl.Boundary() {
-						q := b - t - 1
-						sq := cat
-						sq[stallCat] += q
-						tl.Record(dsPoint(b, sq, occupancySum+occ*q,
-							tlSBSum+uint64(sbCount)*q, tlMSHRSum+uint64(outMiss)*q,
-							fineCat, q))
-					}
-				}
-				cat[stallCat] += delta
-				stallStack.pushN(stallCat, delta)
-				if cp != nil {
-					// The fixed point charged fineCat this cycle; the skipped
-					// stretch repeats exactly that charge.
-					cp.StallN(fineCat, delta)
-				}
-				occupancySum += occ * delta
-				if tl != nil {
-					tlSBSum += uint64(sbCount) * delta
-					tlMSHRSum += uint64(outMiss) * delta
-				}
-				if cfg.Metrics != nil {
-					robHist.ObserveN(occ, delta)
-					sbHist.ObserveN(uint64(sbCount), delta)
-					mshrHist.ObserveN(uint64(outMiss), delta)
-				}
+				// The quiet cycles t+1 .. next-1 repeat this cycle exactly:
+				// its stall charge, occupancies and no retirement.
+				acct.repeat(next-t-1, uint64(headSeq))
 				if cfg.Progress != nil && t/obs.PublishEvery != next/obs.PublishEvery {
 					cfg.Progress.Publish(uint64(headSeq), next)
 				}
@@ -880,38 +704,16 @@ func runDS(src *eventSource, cfg Config) (Result, error) {
 		t++
 	}
 
-	// Assemble the final breakdown: total cycles minus attributed stall
-	// cycles is busy (useful) time. For issue width 1 this equals the
-	// instruction count exactly; for wider issue it is the cycles the
-	// machine spent retiring work.
-	stall := cat[catSync] + cat[catRead] + cat[catWrite] + cat[catBranch] + cat[catOther]
-	busy := t - stall
-	bd := Breakdown{
-		Busy:   busy,
-		Sync:   cat[catSync],
-		Read:   cat[catRead],
-		Write:  cat[catWrite],
-		Branch: cat[catBranch],
-		Other:  cat[catOther],
-	}
-
 	res := Result{
-		Breakdown:     bd,
+		Breakdown:     acct.finish(t, uint64(headSeq)),
 		Instructions:  uint64(src.n),
 		Mispredicts:   mispredicts,
 		Prefetches:    prefetches,
 		ReadMissDelay: hist,
 	}
 	if t > 0 {
-		res.AvgOccupancy = float64(occupancySum) / float64(t)
+		res.AvgOccupancy = float64(acct.occ[0]) / float64(t)
 	}
-	if tl != nil {
-		tl.Finish(dsPoint(t, cat, occupancySum, tlSBSum, tlMSHRSum, 0, 0))
-	}
-	cp.Finish(t)
-	robHist.Close()
-	sbHist.Close()
-	mshrHist.Close()
 	delayHist.Close()
 	cfg.Progress.Publish(uint64(headSeq), t)
 	publishResult(&cfg, res)
@@ -1006,25 +808,6 @@ func issueMem(memq []*memOp, t uint64, cfg Config, evq *eventHeap, outMiss *int,
 		return true
 	}
 	return false
-}
-
-// oldestPendingCategory classifies the oldest unperformed access in the
-// memory queue for stall attribution.
-func oldestPendingCategory(memq []*memOp) uint8 {
-	for _, m := range memq {
-		if m.performed {
-			continue
-		}
-		switch {
-		case m.kind&consistency.Acquire != 0:
-			return catSync
-		case m.kind&(consistency.Store|consistency.Release) != 0:
-			return catWrite
-		default:
-			return catRead
-		}
-	}
-	return catRead
 }
 
 func memReady(m *memOp) bool {

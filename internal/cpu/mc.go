@@ -59,7 +59,7 @@ func RunMC(traces []*trace.Trace, switchPenalty int) (MCResult, error) {
 	}
 
 	var (
-		bd       Breakdown
+		acct     account
 		t        uint64
 		active   = 0
 		switches uint64
@@ -75,7 +75,7 @@ func RunMC(traces []*trace.Trace, switchPenalty int) (MCResult, error) {
 			// Execute one instruction on the active context.
 			e := &c.events[c.idx]
 			c.idx++
-			bd.Busy++
+			acct.busy()
 			t++
 			if c.idx == len(c.events) {
 				done++
@@ -119,10 +119,9 @@ func RunMC(traces []*trace.Trace, switchPenalty int) (MCResult, error) {
 		case next >= 0:
 			if next != active {
 				switches++
-				for k := 0; k < switchPenalty; k++ {
-					bd.Other++ // context-switch overhead
-					t++
-				}
+				// Context-switch overhead.
+				acct.charge(stall{cat: catOther}, uint64(switchPenalty))
+				t += uint64(switchPenalty)
 				active = next
 			} else {
 				// Only the active context remains and it is ready.
@@ -130,16 +129,15 @@ func RunMC(traces []*trace.Trace, switchPenalty int) (MCResult, error) {
 		case soonest >= 0:
 			// Everyone is blocked: stall until the soonest wakes, charged to
 			// its blocking reason.
-			for t < soonestAt {
-				charge(&bd, ctxs[soonest].reason)
-				t++
-			}
+			acct.charge(stall{cat: ctxs[soonest].reason}, soonestAt-t)
+			t = soonestAt
 			active = soonest
 		default:
 			done = len(ctxs) // nothing left anywhere
 		}
 	}
 
+	bd := acct.breakdown()
 	res := MCResult{
 		Result:   Result{Breakdown: bd, Instructions: instructions},
 		Contexts: len(ctxs),

@@ -17,9 +17,9 @@ var (
 
 // PublishResult registers a replay's aggregate outcome into reg under
 // prefix: the Figure 3 stall breakdown as counters plus instruction,
-// mispredict, and prefetch totals. It is exported because the BASE model
-// takes no Config, so its callers publish through this helper directly.
-// Safe with a nil registry.
+// mispredict, and prefetch totals. Replays that take a Config publish on
+// exit; it is exported for the materialized BASE entry points, RunBase and
+// RunBaseObs, which take no Config. Safe with a nil registry.
 func PublishResult(reg *obs.Registry, prefix string, res Result) {
 	if reg == nil {
 		return

@@ -61,12 +61,12 @@ func (a *opArena) newMemOp(seq int, e *trace.Event) *memOp {
 
 // dsScratch is the reusable working set of one RunDS replay.
 type dsScratch struct {
-	entries    []dsEntry
-	evq        eventHeap
-	dispatch   seqHeap
-	memq       []*memOp
-	stallStack stallStack
-	arena      opArena
+	entries  []dsEntry
+	evq      eventHeap
+	dispatch seqHeap
+	memq     []*memOp
+	runs     []stallRun // the account's credit stack
+	arena    opArena
 }
 
 var dsPool = sync.Pool{New: func() any { return new(dsScratch) }}
@@ -95,7 +95,7 @@ func (s *dsScratch) release() {
 	s.memq = s.memq[:0]
 	s.evq = s.evq[:0]
 	s.dispatch = s.dispatch[:0]
-	s.stallStack = s.stallStack[:0]
+	s.runs = s.runs[:0]
 	s.arena.reset()
 	dsPool.Put(s)
 }

@@ -108,8 +108,7 @@ func (w *opWindow) compact() {
 	w.ops = live
 }
 
-// pendingBefore accumulates the consistency.Pending summary of unperformed
-// accesses older than target.
+// pendingOf adds op to the consistency.Pending summary p.
 func pendingOf(op *memOp, p *consistency.Pending) {
 	if op.kind&consistency.Load != 0 {
 		p.Loads++
@@ -125,31 +124,37 @@ func pendingOf(op *memOp, p *consistency.Pending) {
 	}
 }
 
-// stallCategory classifies a stall on blocked, an unperformed access: if it
-// has issued, the processor is genuinely waiting for memory and the stall
-// belongs to the access's own class; if it has not issued, it is blocked by
-// consistency constraints and the stall is charged to the oldest
-// unperformed access that is holding it up (so, e.g., a load that may not
-// issue past an incomplete write under SC charges write time, matching the
-// paper's Figure 3 attribution).
-func (w *opWindow) stallCategory(blocked *memOp) uint8 {
-	culprit := blocked
-	if !blocked.issued {
-		for _, op := range w.ops {
-			if !op.performed {
-				culprit = op
-				break
-			}
+// pendingBefore is the consistency.Pending summary of the unperformed
+// accesses in ops older than seq.
+func pendingBefore(ops []*memOp, seq int) consistency.Pending {
+	var p consistency.Pending
+	for _, op := range ops {
+		if !op.performed && op.seq < seq {
+			pendingOf(op, &p)
 		}
 	}
-	switch {
-	case culprit.kind&consistency.Acquire != 0:
-		return catSync
-	case culprit.kind&(consistency.Store|consistency.Release) != 0:
-		return catWrite
-	default:
-		return catRead
+	return p
+}
+
+// stallOn classifies a stall on blocked, an unperformed access. If it has
+// issued, the processor is genuinely waiting for memory: the stall is the
+// access's own latency. If it has not issued, it is held back by
+// consistency-model ordering, and the cycle is charged to the category of
+// the oldest unperformed access holding it up (so, e.g., a load that may not
+// issue past an incomplete write under SC charges write time, matching the
+// paper's Figure 3 attribution).
+func (w *opWindow) stallOn(blocked *memOp) stall {
+	if blocked.issued {
+		return accessStall(blocked.kind)
 	}
+	culprit := blocked
+	for _, op := range w.ops {
+		if !op.performed {
+			culprit = op
+			break
+		}
+	}
+	return stall{accessStall(culprit.kind).cat, critpath.Consistency}
 }
 
 // forwardable reports whether an older unperformed store to the same word
@@ -220,7 +225,7 @@ func runStatic(src *eventSource, cfg Config, nonBlockingReads bool) (Result, err
 
 	scratch := getStaticScratch()
 	var (
-		bd        Breakdown
+		acct      = newAccount(&cfg)
 		win       = opWindow{ops: scratch.ops, wake: scratch.wake}
 		wbCount   int // stores + releases in the write buffer
 		rbCount   int // pending loads in the read buffer (SS)
@@ -239,18 +244,14 @@ func runStatic(src *eventSource, cfg Config, nonBlockingReads bool) (Result, err
 
 	eligible := func(op *memOp) bool { return true } // all window entries are in flight
 
-	// Observability: buffer-occupancy histograms when metrics are enabled
-	// (batched per run so the hot loop never touches the shared registry),
-	// and per-instruction pipeline records. Non-memory instructions occupy
-	// the in-order pipeline for exactly their accept cycle; memory and
-	// synchronization accesses are recorded when they perform, spanning
-	// decode → port issue → completion.
-	var wbHist, rbHist *obs.HistogramBatch
-	if cfg.Metrics != nil {
-		p := cfg.MetricsPrefix
-		wbHist = cfg.Metrics.HistogramBatch(obs.Prefixed(p, "writebuf.occupancy"), bufferBuckets...)
-		rbHist = cfg.Metrics.HistogramBatch(obs.Prefixed(p, "readbuf.occupancy"), bufferBuckets...)
-	}
+	// Observability: the account integrates the occupancy of the in-flight
+	// access window, the write buffer and the read buffer, and histograms
+	// the two buffers when metrics are enabled. Per-instruction pipeline
+	// records: non-memory instructions occupy the in-order pipeline for
+	// exactly their accept cycle; memory and synchronization accesses are
+	// recorded when they perform, spanning decode → port issue → completion.
+	acct.histogram(&cfg, 1, "writebuf.occupancy", bufferBuckets)
+	acct.histogram(&cfg, 2, "readbuf.occupancy", bufferBuckets)
 	recordAccept := func(e *trace.Event) {
 		if cfg.Pipe != nil {
 			cfg.Pipe.Record(obs.InstrRecord{
@@ -260,73 +261,26 @@ func runStatic(src *eventSource, cfg Config, nonBlockingReads bool) (Result, err
 		}
 	}
 
-	// Critical-path attribution: every coarse stall charge below is
-	// mirrored into a fine cause bucket at the same decision site, so the
-	// buckets sum exactly to the Breakdown (busy is the Finish residual).
-	// fineLast remembers the cycle's charge for the time-skip bulk path.
-	cp := cfg.CritPath
-	var fineLast critpath.Cause
-	fineCharge := func(f critpath.Cause) {
-		fineLast = f
-		cp.Stall(f)
-	}
-	// fineStallOn classifies a stall on an unperformed access, the fine
-	// analogue of opWindow.stallCategory: an issued access is genuine
-	// memory latency of its own class; an unissued one is held back by
-	// consistency-model ordering.
-	fineStallOn := func(blocked *memOp) critpath.Cause {
-		if !blocked.issued {
-			return critpath.Consistency
-		}
-		switch {
-		case blocked.kind&consistency.Acquire != 0:
-			return critpath.SyncWait
-		case blocked.kind&(consistency.Store|consistency.Release) != 0:
-			return critpath.WriteLat
-		default:
-			return critpath.ReadLat
-		}
-	}
-	// Interval timeline sampling: cumulative state snapshots at aligned
-	// 2^k-cycle boundaries. At the top of the body for cycle t the
-	// cumulative counters cover cycles 0..t-1 — exactly boundary t — and a
-	// time-skip jump interpolates each crossed boundary inside the
-	// bulk-charged stretch, so the series is byte-identical skip vs noskip.
-	tl := cfg.Timeline
-	var tlWinSum, tlWBSum, tlRBSum uint64
-	staticPoint := func(cycle uint64, b Breakdown, winSum, wbSum, rbSum uint64, extra critpath.Cause, extraN uint64) obs.TimelinePoint {
-		p := obs.TimelinePoint{
-			Cycle: cycle, Instructions: uint64(idx),
-			Busy: b.Busy, Sync: b.Sync, Read: b.Read,
-			Write: b.Write, Branch: b.Branch, Other: b.Other,
-			WindowSum: winSum, StoreBufSum: wbSum, MSHRSum: rbSum,
-		}
-		if cp != nil {
-			cc := cp.CycleCounts()
-			cc[extra] += extraN
-			p.Causes = append([]uint64(nil), cc[:]...)
-		}
-		return p
-	}
-
-	// Edge recording: the static pipeline accepts at most one instruction
-	// per cycle, so an instruction accepted right after the previous one
-	// never waited (busy edge); anything else waited through the stall
-	// cycles just charged, whose cause is its last-arriving edge.
+	// accept retires the decode slot's instruction into the pipeline: one
+	// busy cycle. The static pipeline accepts at most one instruction per
+	// cycle, so an instruction accepted right after the previous one never
+	// waited (busy edge); anything else waited through the stall cycles
+	// just charged, whose cause is its last-arriving edge.
 	var (
 		anyAccept   bool
 		lastAcceptT uint64
 	)
-	recordEdge := func() {
-		if cp == nil {
-			return
+	accept := func() {
+		if cfg.CritPath != nil {
+			if !anyAccept || t <= lastAcceptT+1 {
+				cfg.CritPath.Edge(critpath.Busy)
+			} else {
+				acct.edgeLast()
+			}
+			anyAccept, lastAcceptT = true, t
 		}
-		if !anyAccept || t <= lastAcceptT+1 {
-			cp.Edge(critpath.Busy)
-		} else {
-			cp.EdgeLast()
-		}
-		anyAccept, lastAcceptT = true, t
+		acct.busy()
+		idx++
 	}
 
 	model := "SSBR"
@@ -379,13 +333,10 @@ func runStatic(src *eventSource, cfg Config, nonBlockingReads bool) (Result, err
 		}
 		iter++
 
-		if tl != nil && t == tl.Boundary() {
-			tl.Record(staticPoint(t, bd, tlWinSum, tlWBSum, tlRBSum, 0, 0))
-		}
+		acct.sample(t, uint64(idx))
 
 		prevIdx := idx
 		prevAcq, prevLoad := blockAcq, blockLoad
-		prevBd := bd
 
 		// Phase 1: completions. The wake heap's minimum is the earliest
 		// in-flight completion, so when it is still in the future the scan
@@ -424,27 +375,25 @@ func runStatic(src *eventSource, cfg Config, nonBlockingReads bool) (Result, err
 			win.compact()
 		}
 
-		// Phase 2: processor (at most one instruction per cycle).
+		// Phase 2: processor (at most one instruction per cycle). The cycle
+		// either accepts the decode slot's instruction or stalls on st.
+		var st stall
 		stalled := false
 		if blockAcq != nil {
 			if blockAcq.performed && t >= blockAcq.wall {
 				blockAcq = nil
 			} else {
-				bd.Sync++
-				fineCharge(critpath.SyncWait)
-				stalled = true
+				st, stalled = stall{catSync, critpath.SyncWait}, true
 			}
 		}
 		if !stalled && blockLoad != nil {
 			if blockLoad.performed {
 				blockLoad = nil
 			} else {
-				charge(&bd, win.stallCategory(blockLoad))
-				fineCharge(fineStallOn(blockLoad))
-				stalled = true
+				st, stalled = win.stallOn(blockLoad), true
 			}
 		}
-		if !stalled && blockAcq == nil && blockLoad == nil && idx < src.n {
+		if !stalled && idx < src.n {
 			if curEv == nil {
 				var ferr error
 				if curEv, ferr = src.fetch(); ferr != nil {
@@ -452,27 +401,19 @@ func runStatic(src *eventSource, cfg Config, nonBlockingReads bool) (Result, err
 				}
 			}
 			e := curEv
-			switch e.Class() {
-			case isa.ClassALU, isa.ClassBranch, isa.ClassHalt:
-				if p := pendingProducer(e, &regOwner, srcBuf[:0]); nonBlockingReads && p != nil {
-					charge(&bd, win.stallCategory(p))
-					fineCharge(fineStallOn(p))
-				} else {
+			// SS stalls at the first use of a pending load's value.
+			if p := pendingProducer(e, &regOwner, srcBuf[:0]); nonBlockingReads && p != nil {
+				st, stalled = win.stallOn(p), true
+			} else {
+				switch e.Class() {
+				case isa.ClassALU, isa.ClassBranch, isa.ClassHalt:
 					recordAccept(e)
-					recordEdge()
-					bd.Busy++
-					idx++
-				}
-			case isa.ClassLoad:
-				pp := pendingProducer(e, &regOwner, srcBuf[:0])
-				switch {
-				case nonBlockingReads && pp != nil:
-					charge(&bd, win.stallCategory(pp))
-					fineCharge(fineStallOn(pp))
-				case nonBlockingReads && rbCount >= cfg.ReadBufDepth:
-					bd.Read++ // read buffer full
-					fineCharge(critpath.BufferFull)
-				default:
+					accept()
+				case isa.ClassLoad:
+					if nonBlockingReads && rbCount >= cfg.ReadBufDepth {
+						st, stalled = stall{catRead, critpath.BufferFull}, true
+						break
+					}
 					op := scratch.arena.newMemOp(idx, e)
 					op.decodedAt = t
 					win.add(op)
@@ -482,69 +423,41 @@ func runStatic(src *eventSource, cfg Config, nonBlockingReads bool) (Result, err
 					} else {
 						blockLoad = op
 					}
-					recordEdge()
-					bd.Busy++
-					idx++
-				}
-			case isa.ClassStore:
-				pp := pendingProducer(e, &regOwner, srcBuf[:0])
-				switch {
-				case nonBlockingReads && pp != nil:
-					charge(&bd, win.stallCategory(pp))
-					fineCharge(fineStallOn(pp))
-				case wbCount >= cfg.WriteBufDepth:
-					bd.Write++ // write buffer full
-					fineCharge(critpath.BufferFull)
-				default:
+					accept()
+				case isa.ClassStore:
+					if wbCount >= cfg.WriteBufDepth {
+						st, stalled = stall{catWrite, critpath.BufferFull}, true
+						break
+					}
 					op := scratch.arena.newMemOp(idx, e)
 					op.decodedAt = t
 					win.add(op)
 					wbCount++
-					recordEdge()
-					bd.Busy++
-					idx++
-				}
-			case isa.ClassSync:
-				if p := pendingProducer(e, &regOwner, srcBuf[:0]); nonBlockingReads && p != nil {
-					charge(&bd, win.stallCategory(p))
-					fineCharge(fineStallOn(p))
-					break
-				}
-				op := scratch.arena.newMemOp(idx, e)
-				op.decodedAt = t
-				if isAcquireClass(e.Instr.Op) {
-					op.wall = t + uint64(op.wait)
-					win.add(op)
-					blockAcq = op
-					recordEdge()
-					bd.Busy++
-					idx++
-				} else if wbCount >= cfg.WriteBufDepth {
-					bd.Write++
-					fineCharge(critpath.BufferFull)
-				} else {
-					win.add(op) // release drains through the write buffer
-					wbCount++
-					recordEdge()
-					bd.Busy++
-					idx++
+					accept()
+				case isa.ClassSync:
+					op := scratch.arena.newMemOp(idx, e)
+					op.decodedAt = t
+					if isAcquireClass(e.Instr.Op) {
+						op.wall = t + uint64(op.wait)
+						win.add(op)
+						blockAcq = op
+						accept()
+					} else if wbCount >= cfg.WriteBufDepth {
+						st, stalled = stall{catWrite, critpath.BufferFull}, true
+					} else {
+						win.add(op) // release drains through the write buffer
+						wbCount++
+						accept()
+					}
 				}
 			}
-		} else if !stalled && blockAcq == nil && blockLoad == nil {
+		} else if !stalled && len(win.ops) > 0 {
 			// Trace exhausted: draining the window. Charge by the oldest
 			// unperformed access.
-			if len(win.ops) > 0 {
-				head := win.ops[0]
-				switch {
-				case head.kind&consistency.Acquire != 0:
-					bd.Sync++
-				case head.kind == consistency.Load:
-					bd.Read++
-				default:
-					bd.Write++
-				}
-				fineCharge(fineStallOn(head))
-			}
+			st, stalled = win.stallOn(win.ops[0]), true
+		}
+		if stalled {
+			acct.charge(st, 1)
 		}
 
 		// Phase 3: cache port issues one access.
@@ -557,15 +470,7 @@ func runStatic(src *eventSource, cfg Config, nonBlockingReads bool) (Result, err
 			dog.last = t
 		}
 
-		if cfg.Metrics != nil {
-			wbHist.Observe(uint64(wbCount))
-			rbHist.Observe(uint64(rbCount))
-		}
-		if tl != nil {
-			tlWinSum += uint64(len(win.ops))
-			tlWBSum += uint64(wbCount)
-			tlRBSum += uint64(rbCount)
-		}
+		acct.occupy([3]uint64{uint64(len(win.ops)), uint64(wbCount), uint64(rbCount)})
 		if cfg.Progress != nil && t&(obs.PublishEvery-1) == 0 {
 			cfg.Progress.Publish(uint64(idx), t)
 		}
@@ -577,73 +482,35 @@ func runStatic(src *eventSource, cfg Config, nonBlockingReads bool) (Result, err
 		// at t it issues nothing at any later cycle of the same state — so
 		// with no scheduled event the machine is livelocked and falls back
 		// to stepping, where the watchdog measures the stagnation.
-		if skip && !changed && idx == prevIdx && issued == nil &&
+		if skip && stalled && !changed && idx == prevIdx && issued == nil &&
 			blockAcq == prevAcq && blockLoad == prevLoad {
-			if c, ok := soleStallCharge(&prevBd, &bd); ok {
-				// The wake heap's minimum is exactly the min performAt over
-				// issued-unperformed accesses (all > t after phase 1).
-				next := ^uint64(0)
-				if len(win.wake) > 0 {
-					next = win.wake[0]
+			// The wake heap's minimum is exactly the min performAt over
+			// issued-unperformed accesses (all > t after phase 1).
+			next := ^uint64(0)
+			if len(win.wake) > 0 {
+				next = win.wake[0]
+			}
+			// A performed acquire has been compacted out of the window
+			// but still blocks the processor until its wall.
+			if blockAcq != nil && blockAcq.performed && blockAcq.wall > t && blockAcq.wall < next {
+				next = blockAcq.wall
+			}
+			if next != ^uint64(0) && next > t+1 {
+				// The quiet cycles t+1 .. next-1 repeat this cycle exactly.
+				acct.repeat(next-t-1, uint64(idx))
+				if cfg.Progress != nil && t/obs.PublishEvery != next/obs.PublishEvery {
+					cfg.Progress.Publish(uint64(idx), next)
 				}
-				// A performed acquire has been compacted out of the window
-				// but still blocks the processor until its wall.
-				if blockAcq != nil && blockAcq.performed && blockAcq.wall > t && blockAcq.wall < next {
-					next = blockAcq.wall
-				}
-				if next != ^uint64(0) && next > t+1 {
-					delta := next - t - 1 // quiet cycles t+1 .. next-1
-					if tl != nil {
-						// The jump lands at next with the body's top-of-loop
-						// check already past boundary next, so interpolate
-						// every boundary b in (t, next] here: b snapshots the
-						// state after cycles 0..b-1, i.e. the fixed point
-						// plus b-t-1 repeats of its single stall charge.
-						for b := tl.Boundary(); b <= next; b = tl.Boundary() {
-							q := b - t - 1
-							bq := bd
-							chargeN(&bq, c, q)
-							tl.Record(staticPoint(b, bq,
-								tlWinSum+uint64(len(win.ops))*q,
-								tlWBSum+uint64(wbCount)*q,
-								tlRBSum+uint64(rbCount)*q,
-								fineLast, q))
-						}
-					}
-					chargeN(&bd, c, delta)
-					// The fixed-point cycle charged exactly one stall, whose
-					// fine cause fineCharge just recorded; the skipped stretch
-					// repeats that charge.
-					cp.StallN(fineLast, delta)
-					if cfg.Metrics != nil {
-						wbHist.ObserveN(uint64(wbCount), delta)
-						rbHist.ObserveN(uint64(rbCount), delta)
-					}
-					if tl != nil {
-						tlWinSum += uint64(len(win.ops)) * delta
-						tlWBSum += uint64(wbCount) * delta
-						tlRBSum += uint64(rbCount) * delta
-					}
-					if cfg.Progress != nil && t/obs.PublishEvery != next/obs.PublishEvery {
-						cfg.Progress.Publish(uint64(idx), next)
-					}
-					t = next
-					jumped = true
-					continue
-				}
+				t = next
+				jumped = true
+				continue
 			}
 		}
 
 		t++
 	}
 
-	res := Result{Breakdown: bd, Instructions: uint64(src.n)}
-	if tl != nil {
-		tl.Finish(staticPoint(t, bd, tlWinSum, tlWBSum, tlRBSum, 0, 0))
-	}
-	cp.Finish(bd.Total())
-	wbHist.Close()
-	rbHist.Close()
+	res := Result{Breakdown: acct.finish(t, uint64(idx)), Instructions: uint64(src.n)}
 	cfg.Progress.Publish(uint64(idx), t)
 	publishResult(&cfg, res)
 	return res, nil
@@ -658,50 +525,4 @@ func pendingProducer(e *trace.Event, owner *[isa.NumRegs]*memOp, buf []uint8) *m
 		}
 	}
 	return nil
-}
-
-// charge adds one stall cycle of the given category to bd.
-func charge(bd *Breakdown, cat uint8) {
-	chargeN(bd, cat, 1)
-}
-
-// chargeN adds n stall cycles of the given category to bd.
-func chargeN(bd *Breakdown, cat uint8, n uint64) {
-	switch cat {
-	case catSync:
-		bd.Sync += n
-	case catRead:
-		bd.Read += n
-	case catWrite:
-		bd.Write += n
-	case catBranch:
-		bd.Branch += n
-	default:
-		bd.Other += n
-	}
-}
-
-// soleStallCharge reports whether cur differs from prev by exactly one stall
-// cycle in exactly one category with busy time unchanged — the charge
-// signature of a time-skip fixed-point cycle — and returns that category.
-func soleStallCharge(prev, cur *Breakdown) (uint8, bool) {
-	if cur.Busy != prev.Busy {
-		return 0, false
-	}
-	d := [5]uint64{
-		catSync:   cur.Sync - prev.Sync,
-		catRead:   cur.Read - prev.Read,
-		catWrite:  cur.Write - prev.Write,
-		catBranch: cur.Branch - prev.Branch,
-		catOther:  cur.Other - prev.Other,
-	}
-	if d[catSync]+d[catRead]+d[catWrite]+d[catBranch]+d[catOther] != 1 {
-		return 0, false
-	}
-	for c, n := range d {
-		if n == 1 {
-			return uint8(c), true
-		}
-	}
-	return 0, false
 }

@@ -12,8 +12,6 @@ package cpu
 import (
 	"fmt"
 
-	"dynsched/internal/critpath"
-	"dynsched/internal/obs"
 	"dynsched/internal/trace"
 )
 
@@ -65,22 +63,12 @@ func checkStreamWindow(window int) error {
 	return nil
 }
 
-// RunBaseStream replays a streaming trace through the BASE processor.
+// RunBaseStream replays a streaming trace through the BASE processor. Of
+// cfg it reads only the observability hooks (Metrics, CritPath, Timeline).
 // A decode or integrity error from the stream aborts the replay.
-func RunBaseStream(c *trace.Cursor) (Result, error) {
-	return RunBaseStreamCP(c, nil)
-}
-
-// RunBaseStreamCP is RunBaseStream with critical-path attribution.
-func RunBaseStreamCP(c *trace.Cursor, cp *critpath.Collector) (Result, error) {
-	return RunBaseStreamObs(c, cp, nil)
-}
-
-// RunBaseStreamObs is RunBaseStream with critical-path attribution and
-// interval timeline sampling, mirroring RunBaseObs for the streaming arm.
-func RunBaseStreamObs(c *trace.Cursor, cp *critpath.Collector, tl *obs.Timeline) (Result, error) {
+func RunBaseStream(c *trace.Cursor, cfg Config) (Result, error) {
 	src := cursorSource(c)
-	return runBase(&src, cp, tl)
+	return runBase(&src, cfg)
 }
 
 // RunSSBRStream replays a streaming trace through the statically

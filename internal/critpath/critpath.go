@@ -1,20 +1,19 @@
-// Package critpath implements critical-path cycle attribution for the
-// processor timing models: a per-replay Collector that mirrors each model's
-// stall accounting at a finer cause granularity and records, for every
-// retired instruction, its last-arriving dependence edge.
+// Package critpath holds critical-path cycle attribution for the processor
+// timing models: a per-replay Collector of stall cycles per fine cause and,
+// for every retired instruction, its last-arriving dependence edge.
 //
 // The Figure 3 Breakdown answers "where did the cycles go" in the paper's
 // four coarse categories; the attribution here answers "what caused them" —
 // at window W under model M, X% of execution time is on the critical path
-// because of cause C. The design guarantees the conservation invariant by
-// construction: the Collector charges exactly one fine cause for every
-// stall cycle the model charges (and uncharges in lockstep when the DS
-// model's burst-retirement credit reclassifies stall cycles as busy), then
-// Finish computes the busy bucket as the residual total − Σstalls. The
-// attribution buckets therefore sum exactly to Breakdown.Total().
+// because of cause C. The models classify each stall cycle once, as a
+// category and a cause together, and charge both through one accounting
+// path (including the DS burst-retirement credit, which takes cycles back
+// with Uncharge). Finish then computes the busy bucket as the residual
+// total − Σstalls, so the attribution buckets sum exactly to
+// Breakdown.Total().
 //
-// Like the hooks of package obs, every Collector method is nil-safe: a
-// replay with no collector pays only nil checks on the stall path.
+// Every Collector method is nil-safe: a replay with no collector pays only
+// nil checks on the stall path.
 package critpath
 
 import (
@@ -93,60 +92,35 @@ func Causes() []Cause {
 	return out
 }
 
-// causeRun is one run-length-encoded stretch of identically charged cycles.
-// The encoding keeps the stack O(transitions) rather than O(cycles), so the
-// time-skip bulk charges cost O(1) — the same trick as the DS stall stack.
-type causeRun struct {
-	cause Cause
-	n     uint64
-}
-
-// Collector accumulates one replay's critical-path attribution. The zero
-// value is ready to use; all methods are nil-safe no-ops on a nil receiver.
-// A Collector is not safe for concurrent use — the experiment harness gives
-// every replay cell its own.
+// Collector accumulates one replay's critical-path attribution: stall
+// cycles and last-arriving edges per cause. The zero value is ready to use;
+// all methods are nil-safe no-ops on a nil receiver. A Collector is not safe
+// for concurrent use — the experiment harness gives every replay cell its
+// own.
 type Collector struct {
 	cycles [NumCauses]uint64
 	edges  [NumCauses]uint64
-	stack  []causeRun
-	last   Cause
 	total  uint64
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
-// Stall charges one stall cycle to cause.
-func (c *Collector) Stall(cause Cause) { c.StallN(cause, 1) }
-
-// StallN charges n stall cycles to cause in bulk (the time-skip path).
+// StallN charges n stall cycles to cause.
 func (c *Collector) StallN(cause Cause, n uint64) {
-	if c == nil || n == 0 {
+	if c == nil {
 		return
 	}
 	c.cycles[cause] += n
-	c.last = cause
-	if l := len(c.stack); l > 0 && c.stack[l-1].cause == cause {
-		c.stack[l-1].n += n
-		return
-	}
-	c.stack = append(c.stack, causeRun{cause: cause, n: n})
 }
 
-// Uncharge pops the most recently charged stall cycle, mirroring the DS
-// model's burst-retirement credit: a cycle that retires more than the issue
-// width proves an earlier stall cycle overlapped useful buffered work, so
-// that cycle's fine cause is reclaimed exactly as its coarse category is.
-func (c *Collector) Uncharge() {
-	if c == nil || len(c.stack) == 0 {
+// Uncharge takes back one stall cycle charged to cause, when the DS model's
+// burst-retirement credit reclassifies that cycle as busy.
+func (c *Collector) Uncharge(cause Cause) {
+	if c == nil {
 		return
 	}
-	r := &c.stack[len(c.stack)-1]
-	c.cycles[r.cause]--
-	r.n--
-	if r.n == 0 {
-		c.stack = c.stack[:len(c.stack)-1]
-	}
+	c.cycles[cause]--
 }
 
 // CycleCounts returns the raw per-cause stall-cycle counters charged so
@@ -167,24 +141,6 @@ func (c *Collector) Edge(cause Cause) {
 		return
 	}
 	c.edges[cause]++
-}
-
-// EdgeLast records an edge of the most recently charged stall cause — the
-// classification of the wait the retiring instruction just sat through.
-// Before any stall has been charged it records Busy.
-func (c *Collector) EdgeLast() {
-	if c == nil {
-		return
-	}
-	c.edges[c.last]++
-}
-
-// Last returns the most recently charged stall cause (Busy before any).
-func (c *Collector) Last() Cause {
-	if c == nil {
-		return Busy
-	}
-	return c.last
 }
 
 // Finish seals the collection at the replay's total cycle count. The busy

@@ -9,15 +9,11 @@ import (
 
 func TestNilCollectorIsSafe(t *testing.T) {
 	var c *Collector
-	c.Stall(ReadLat)
+	c.StallN(ReadLat, 1)
 	c.StallN(WriteLat, 7)
-	c.Uncharge()
+	c.Uncharge(WriteLat)
 	c.Edge(Busy)
-	c.EdgeLast()
 	c.Finish(100)
-	if got := c.Last(); got != Busy {
-		t.Errorf("nil Last() = %v, want busy", got)
-	}
 	if a := c.Attribution(); a.Total != 0 || a.Sum() != 0 {
 		t.Errorf("nil Attribution() = %+v, want zero", a)
 	}
@@ -26,8 +22,8 @@ func TestNilCollectorIsSafe(t *testing.T) {
 func TestConservationResidualBusy(t *testing.T) {
 	c := NewCollector()
 	c.StallN(ReadLat, 40)
-	c.Stall(BranchRefill)
-	c.Stall(BranchRefill)
+	c.StallN(BranchRefill, 1)
+	c.StallN(BranchRefill, 1)
 	c.StallN(SyncWait, 8)
 	c.Finish(100)
 	a := c.Attribution()
@@ -42,47 +38,6 @@ func TestConservationResidualBusy(t *testing.T) {
 	}
 	if d := a.DominantStall(); d != ReadLat {
 		t.Errorf("DominantStall() = %v, want read-lat", d)
-	}
-}
-
-// TestUnchargeLIFO checks that Uncharge pops fine causes in exactly the
-// reverse charge order, one cycle at a time, across run-length boundaries —
-// the lockstep mirror of the DS stall stack's credit pops.
-func TestUnchargeLIFO(t *testing.T) {
-	c := NewCollector()
-	c.StallN(ReadLat, 2)
-	c.Stall(BranchRefill)
-	c.Stall(ReadLat) // separate run after the branch run
-
-	want := []Cause{ReadLat, BranchRefill, ReadLat, ReadLat}
-	for i, cause := range want {
-		before := c.cycles[cause]
-		c.Uncharge()
-		if c.cycles[cause] != before-1 {
-			t.Fatalf("pop %d: cycles[%v] = %d, want %d", i, cause, c.cycles[cause], before-1)
-		}
-	}
-	c.Uncharge() // empty stack: no-op, no underflow
-	for cause, n := range c.cycles {
-		if n != 0 {
-			t.Errorf("after draining, cycles[%v] = %d, want 0", Cause(cause), n)
-		}
-	}
-}
-
-func TestEdgeLastTracksMostRecentStall(t *testing.T) {
-	c := NewCollector()
-	c.EdgeLast() // before any stall: busy
-	c.Stall(MSHRFull)
-	c.EdgeLast()
-	c.Edge(InOrder)
-	c.Finish(10)
-	a := c.Attribution()
-	if a.Edges[Busy] != 1 || a.Edges[MSHRFull] != 1 || a.Edges[InOrder] != 1 {
-		t.Errorf("edges = %v", a.Edges)
-	}
-	if a.EdgeSum() != 3 {
-		t.Errorf("EdgeSum() = %d, want 3", a.EdgeSum())
 	}
 }
 

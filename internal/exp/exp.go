@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -106,6 +107,24 @@ type Options struct {
 	// cell failure. The selection is a deterministic function of the cell
 	// key, so the audited subset is stable across runs.
 	CacheVerify float64
+}
+
+// CheckMachine validates the machine parameters shared by the command
+// lines: the processor count, the traced processor and the miss penalty in
+// cycles (taken wide, so a value the 32-bit penalty cannot hold is rejected
+// rather than truncated). An explicitly chosen traced processor must be one
+// of the simulated ones; otherwise the index wraps, so the default
+// TraceCPU 1 names processor 0 of a one-processor machine.
+func CheckMachine(cpus, traceCPU int, traceCPUChosen bool, latency uint64) error {
+	switch {
+	case cpus <= 0:
+		return fmt.Errorf("-cpus must be >= 1, got %d", cpus)
+	case traceCPU < 0 || traceCPUChosen && traceCPU >= cpus:
+		return fmt.Errorf("-tracecpu must be in [0,%d) for -cpus %d, got %d", cpus, cpus, traceCPU)
+	case latency < 1 || latency > math.MaxUint32:
+		return fmt.Errorf("-latency must be in [1,%d] cycles, got %d", uint32(math.MaxUint32), latency)
+	}
+	return nil
 }
 
 // DefaultOptions returns the paper's main configuration at medium scale.
@@ -240,6 +259,9 @@ func (e *Experiment) generate(app string) (run *AppRun, err error) {
 	e.opts.Board.Start(job)
 	defer func() { e.opts.Board.Finish(job, err) }()
 	if err := e.opts.Faults.Fire("gen." + app); err != nil {
+		return nil, fmt.Errorf("exp: %s: %w", app, err)
+	}
+	if err := CheckMachine(e.opts.NumCPUs, e.opts.TraceCPU, false, uint64(e.opts.MissPenalty)); err != nil {
 		return nil, fmt.Errorf("exp: %s: %w", app, err)
 	}
 	if run := e.cachedTrace(app, job); run != nil {
@@ -455,8 +477,7 @@ func normalize(cols []Column) {
 func runArch(tr *trace.Trace, arch string, cfg cpu.Config) (cpu.Result, error) {
 	switch arch {
 	case "BASE":
-		// BASE takes no Config; the observability hooks are threaded
-		// through its dedicated entry point.
+		// BASE has no machine parameters; of cfg it uses only the probes.
 		return cpu.RunBaseObs(tr, cfg.CritPath, cfg.Timeline), nil
 	case "SSBR":
 		return cpu.RunSSBR(tr, cfg)

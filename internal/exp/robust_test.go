@@ -426,3 +426,44 @@ func TestRetryScheduleJitterAndCap(t *testing.T) {
 		t.Errorf("labels %q and %q share a retry schedule: %v", label, "lu SC-SS", sleeps)
 	}
 }
+
+// TestMachineOptionsRejected checks that trace generation refuses machine
+// parameters it cannot honour — a negative traced processor used to panic
+// inside the generator — with the same check the command lines run.
+func TestMachineOptionsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		mutate func(*Options)
+		want   string
+	}{
+		{func(o *Options) { o.TraceCPU = -1 }, "-tracecpu"},
+		{func(o *Options) { o.NumCPUs = -4 }, "-cpus"},
+	} {
+		opts := DefaultOptions()
+		opts.Scale = apps.ScaleSmall
+		opts.Apps = []string{"lu"}
+		tc.mutate(&opts)
+		_, err := New(opts).Run("lu")
+		if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "panicked") {
+			t.Errorf("%s: err = %v, want a plain error naming %s", tc.want, err, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		cpus, traceCPU int
+		chosen         bool
+		latency        uint64
+		ok             bool
+	}{
+		{16, 1, false, 50, true},
+		{1, 1, false, 50, true}, // the default traced processor wraps
+		{1, 1, true, 50, false},
+		{2, 5, true, 50, false},
+		{2, -1, false, 50, false},
+		{0, 0, false, 50, false},
+		{2, 0, true, 0, false},
+		{2, 0, true, 1 << 32, false},
+	} {
+		if err := CheckMachine(tc.cpus, tc.traceCPU, tc.chosen, tc.latency); (err == nil) != tc.ok {
+			t.Errorf("CheckMachine(%d, %d, %t, %d) = %v, want ok=%t", tc.cpus, tc.traceCPU, tc.chosen, tc.latency, err, tc.ok)
+		}
+	}
+}

@@ -28,7 +28,7 @@ import (
 func runArchStream(c *trace.Cursor, arch string, cfg cpu.Config) (cpu.Result, error) {
 	switch arch {
 	case "BASE":
-		return cpu.RunBaseStreamCP(c, cfg.CritPath)
+		return cpu.RunBaseStream(c, cfg)
 	case "SSBR":
 		return cpu.RunSSBRStream(c, cfg)
 	case "SS":
