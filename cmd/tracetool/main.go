@@ -5,15 +5,13 @@
 //
 // Usage:
 //
-//	tracetool gen     -app lu -scale paper -o lu.trace     generate and save
-//	tracetool info    lu.trace                             tables 1-3 for one trace
-//	tracetool replay  -arch DS -model RC -window 64 lu.trace
-//	tracetool convert -o lu.v3.trace lu.trace              rewrite as chunked v3
+//	tracetool gen    -app lu -scale paper -o lu.trace     generate and save
+//	tracetool info   lu.trace                             tables 1-3 for one trace
+//	tracetool replay -arch DS -model RC -window 64 lu.trace
 //
 // replay prints the execution-time breakdown of the chosen processor model.
-// Both replay and convert stream the trace through a trace.Cursor — one
-// CRC-verified chunk resident at a time — so multi-gigabyte traces replay
-// and convert in constant memory.
+// It streams the trace through a trace.Cursor — one CRC-verified chunk
+// resident at a time — so multi-gigabyte traces replay in constant memory.
 package main
 
 import (
@@ -48,7 +46,6 @@ Commands:
   gen      generate a trace on the simulated multiprocessor and save it
   info     print reference, synchronization, and branch statistics
   replay   replay a trace through a processor model (streaming)
-  convert  rewrite a v1/v2/v3 trace as the chunked v3 format (streaming)
 
 Run "tracetool <command> -h" for the command's flags.`
 }
@@ -64,8 +61,6 @@ func run(args []string) error {
 		return info(args[1:])
 	case "replay":
 		return replay(args[1:])
-	case "convert":
-		return convert(args[1:])
 	case "-version", "-v", "version":
 		fmt.Printf("tracetool %s (dynsched)\n", dynsched.Version)
 		return nil
@@ -163,62 +158,8 @@ func openCursor(path string) (c *trace.Cursor, close func() error, err error) {
 	return c, f.Close, nil
 }
 
-// convert streams a trace in any accepted container version (v1, v2, v3)
-// into a fresh chunked v3 file: Cursor in, Writer out, one chunk resident
-// at a time, written through a temp file + rename so the destination is
-// never torn. The rewrite verifies every integrity check of the source
-// (chunk CRCs, footer, per-event invariants) on the way through.
-func convert(args []string) error {
-	fs := flag.NewFlagSet("convert", flag.ContinueOnError)
-	out := fs.String("o", "", "output file (required)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: tracetool convert -o <out> <file>")
-	}
-	if *out == "" {
-		return fmt.Errorf("convert: -o output file is required")
-	}
-	c, closeIn, err := openCursor(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	defer closeIn()
-	var n int64
-	err = obs.WriteFileAtomic(*out, func(w io.Writer) error {
-		tw, err := trace.NewWriter(w, c.Meta(), uint64(c.Len()))
-		if err != nil {
-			return err
-		}
-		for {
-			e, err := c.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			if err := tw.Write(e); err != nil {
-				return err
-			}
-		}
-		if err := tw.Close(); err != nil {
-			return err
-		}
-		n = tw.BytesWritten()
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("converted %s (v%d) -> %s (v3): %d events, %d bytes\n",
-		fs.Arg(0), c.Version(), *out, c.Len(), n)
-	return nil
-}
-
-// statFile reports the container-level layout (format version, chunk CRC
-// status, encoded density) of a serialized trace.
+// statFile reports the container-level layout (chunk CRC status, encoded
+// density) of a serialized trace.
 func statFile(path string) (trace.FileStat, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -299,6 +240,12 @@ func replay(args []string) error {
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: tracetool replay [flags] <file>")
+	}
+	if *window < 1 {
+		return fmt.Errorf("replay: -window must be >= 1, got %d", *window)
+	}
+	if *width < 1 {
+		return fmt.Errorf("replay: -width must be >= 1, got %d", *width)
 	}
 	if *arch == "BASE" && *pipeOut != "" {
 		return fmt.Errorf("replay: -pipe-trace-out needs a pipelined model, and -arch BASE has no pipeline")

@@ -1,73 +1,11 @@
 package main
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
-
-// TestConvertRoundTrip gates the streaming rewrite: a v3→v3 conversion is
-// byte-identical (Writer and Trace.WriteTo share the encoder), and a v2→v3
-// conversion carries every event and the header metadata across unchanged.
-func TestConvertRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "lu.trace")
-	if err := run([]string{"gen", "-app", "lu", "-scale", "small", "-o", src}); err != nil {
-		t.Fatalf("gen: %v", err)
-	}
-
-	out := filepath.Join(dir, "lu.v3.trace")
-	if err := run([]string{"convert", "-o", out, src}); err != nil {
-		t.Fatalf("convert v3: %v", err)
-	}
-	want, err := os.ReadFile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("v3 -> v3 conversion not byte-identical: %d vs %d bytes", len(got), len(want))
-	}
-
-	tr, err := load(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := filepath.Join(dir, "lu.v2.trace")
-	f, err := os.Create(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.WriteToV2(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out2 := filepath.Join(dir, "lu.v2to3.trace")
-	if err := run([]string{"convert", "-o", out2, v2}); err != nil {
-		t.Fatalf("convert v2: %v", err)
-	}
-	conv, err := load(out2)
-	if err != nil {
-		t.Fatalf("converted trace rejected: %v", err)
-	}
-	if conv.Meta() != tr.Meta() {
-		t.Errorf("converted meta %+v, want %+v", conv.Meta(), tr.Meta())
-	}
-	if !reflect.DeepEqual(conv.Events, tr.Events) {
-		t.Error("converted events differ from source")
-	}
-	if st, err := statFile(out2); err != nil || st.Version != 3 {
-		t.Errorf("converted file version %d (err %v), want 3", st.Version, err)
-	}
-}
 
 func TestGenInfoReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -120,12 +58,6 @@ func TestToolErrors(t *testing.T) {
 	if err := run([]string{"replay", "-model", "XX", file}); err == nil {
 		t.Error("unknown model accepted")
 	}
-	if err := run([]string{"convert", file}); err == nil {
-		t.Error("convert without -o accepted")
-	}
-	if err := run([]string{"convert", "-o", filepath.Join(dir, "out.trace"), "/nonexistent/file.trace"}); err == nil {
-		t.Error("convert of missing file accepted")
-	}
 
 	// Flag values that used to be rewritten silently (or panic) are usage
 	// errors naming the offending flags.
@@ -140,6 +72,10 @@ func TestToolErrors(t *testing.T) {
 		{[]string{"gen", "-app", "lu", "-scale", "small", "-cpus", "2", "-tracecpu", "-1", "-o", out}, []string{"-tracecpu"}},
 		{[]string{"gen", "-app", "lu", "-scale", "small", "-cpus", "0", "-o", out}, []string{"-cpus"}},
 		{[]string{"replay", "-arch", "BASE", "-pipe-trace-out", filepath.Join(dir, "p.json"), file}, []string{"-pipe-trace-out", "-arch BASE"}},
+		{[]string{"replay", "-window", "0", file}, []string{"-window", "got 0"}},
+		{[]string{"replay", "-window", "-5", file}, []string{"-window", "got -5"}},
+		{[]string{"replay", "-width", "0", file}, []string{"-width", "got 0"}},
+		{[]string{"replay", "-arch", "SS", "-width", "-2", file}, []string{"-width", "got -2"}},
 	} {
 		err := run(tc.args)
 		if err == nil {
@@ -154,5 +90,35 @@ func TestToolErrors(t *testing.T) {
 	}
 	if _, err := os.Stat(out); err == nil {
 		t.Error("a rejected gen wrote its output file")
+	}
+
+	// The container checks reach every consumer, streaming replay included:
+	// bytes after the footer, and a header bit flip that only the footer CRC
+	// covers, fail info and each model's replay.
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := filepath.Join(dir, "cat.trace")
+	flip := filepath.Join(dir, "flip.trace")
+	flipped := append([]byte(nil), raw...)
+	flipped[8] ^= 0x01 // the header's CPU field
+	if err := os.WriteFile(cat, append(append([]byte(nil), raw...), raw...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(flip, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ path, want string }{
+		{cat, "trailing bytes after CRC footer"},
+		{flip, "CRC mismatch"},
+	} {
+		for _, cmd := range [][]string{{"info"}, {"replay", "-arch", "BASE"},
+			{"replay", "-arch", "SSBR"}, {"replay", "-arch", "SS"}, {"replay", "-arch", "DS"}} {
+			args := append(cmd, tc.path)
+			if err := run(args); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%v: err = %v, want %q", args, err, tc.want)
+			}
+		}
 	}
 }

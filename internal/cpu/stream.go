@@ -11,6 +11,7 @@ package cpu
 
 import (
 	"fmt"
+	"io"
 
 	"dynsched/internal/trace"
 )
@@ -63,26 +64,42 @@ func checkStreamWindow(window int) error {
 	return nil
 }
 
+// runStream replays c through run, then reads the cursor to its end: the
+// models fetch exactly the declared events, and only the read past the
+// last one verifies the whole-file checksum and that nothing follows the
+// footer. A streaming replay therefore rejects what ReadTrace rejects.
+func runStream(c *trace.Cursor, run func(*eventSource) (Result, error)) (Result, error) {
+	src := cursorSource(c)
+	res, err := run(&src)
+	if err != nil {
+		return res, err
+	}
+	if _, err := c.Next(); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("replay stopped at event %d of %d", src.next, src.n)
+		}
+		return Result{}, fmt.Errorf("cpu: trace stream end: %w", err)
+	}
+	return res, nil
+}
+
 // RunBaseStream replays a streaming trace through the BASE processor. Of
 // cfg it reads only the observability hooks (Metrics, CritPath, Timeline).
 // A decode or integrity error from the stream aborts the replay.
 func RunBaseStream(c *trace.Cursor, cfg Config) (Result, error) {
-	src := cursorSource(c)
-	return runBase(&src, cfg)
+	return runStream(c, func(src *eventSource) (Result, error) { return runBase(src, cfg) })
 }
 
 // RunSSBRStream replays a streaming trace through the statically
 // scheduled, blocking-read processor.
 func RunSSBRStream(c *trace.Cursor, cfg Config) (Result, error) {
-	src := cursorSource(c)
-	return runStatic(&src, cfg, false)
+	return runStream(c, func(src *eventSource) (Result, error) { return runStatic(src, cfg, false) })
 }
 
 // RunSSStream replays a streaming trace through the statically scheduled,
 // non-blocking-read processor.
 func RunSSStream(c *trace.Cursor, cfg Config) (Result, error) {
-	src := cursorSource(c)
-	return runStatic(&src, cfg, true)
+	return runStream(c, func(src *eventSource) (Result, error) { return runStatic(src, cfg, true) })
 }
 
 // RunDSStream replays a streaming trace through the dynamically scheduled
@@ -93,6 +110,5 @@ func RunDSStream(c *trace.Cursor, cfg Config) (Result, error) {
 	if err := checkStreamWindow(cfg.withDefaults().Window); err != nil {
 		return Result{}, err
 	}
-	src := cursorSource(c)
-	return runDS(&src, cfg)
+	return runStream(c, func(src *eventSource) (Result, error) { return runDS(src, cfg) })
 }

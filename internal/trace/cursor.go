@@ -4,12 +4,12 @@ package trace
 // CRC-verified chunk at a time into a fixed ring of events and hands the
 // replay loops pointers into that ring, so a multi-gigabyte trace replays
 // in a constant few hundred kilobytes of memory — no whole-trace []Event
-// materialization and no per-event allocation. It accepts every container
-// version ReadTrace does (chunked v3, flat v2, footerless legacy v1) and
-// applies the same structural checks: chunk plausibility bounds, per-chunk
-// CRCs, the whole-file footer, and the per-event Validate invariants
-// (checked incrementally through the shared validateEvent helper, plus the
-// NextPC→PC linkage against each event's predecessor).
+// materialization and no per-event allocation. It reads the container
+// through the same header, chunk-frame and footer helpers as ReadTrace and
+// applies the same checks: chunk plausibility bounds, per-chunk CRCs, the
+// whole-file footer with nothing after it, and the per-event Validate
+// invariants (checked incrementally through the shared validateEvent
+// helper, plus the NextPC→PC linkage against each event's predecessor).
 //
 // Pointer lifetime: the ring holds 2× the maximum decode batch, and slots
 // are only overwritten when the consumer has drained everything decoded so
@@ -30,7 +30,7 @@ import (
 const CursorLookback = chunkEvents
 
 // cursorRing is the ring capacity in events: lookback plus the largest
-// batch a single fill can decode (a full v3 chunk). Power of two so slot
+// batch a single fill can decode (a full chunk). Power of two so slot
 // indexing is a mask.
 const cursorRing = 2 * chunkEvents
 
@@ -38,17 +38,16 @@ const cursorRing = 2 * chunkEvents
 // NewCursor, then call Next until it returns io.EOF; a clean EOF means the
 // whole container, footer checksum included, was verified.
 type Cursor struct {
-	br      *bufio.Reader
-	sum     uint32 // running whole-file CRC (crc32.Update)
-	version uint32
-	meta    Meta
-	count   uint64
+	br    *bufio.Reader
+	sum   uint32 // running whole-file CRC (crc32.Update)
+	meta  Meta
+	count uint64
 
 	ring    [cursorRing]Event
 	pos     uint64 // events handed out via Next
 	decoded uint64 // events decoded into the ring
 
-	buf   []byte  // chunk payload (v3) / flat record batch (v1, v2)
+	buf   []byte  // chunk payload
 	spill []Event // decode scratch when a batch wraps the ring edge
 
 	lastNextPC int32 // NextPC of event decoded-1, for linkage validation
@@ -65,11 +64,11 @@ func NewCursor(r io.Reader) (*Cursor, error) {
 		br = bufio.NewReaderSize(r, 1<<16)
 	}
 	c := &Cursor{br: br}
-	version, meta, count, err := readHeader(br, &c.sum)
+	meta, count, err := readHeader(br, &c.sum)
 	if err != nil {
 		return nil, err
 	}
-	c.version, c.meta, c.count = version, meta, count
+	c.meta, c.count = meta, count
 	return c, nil
 }
 
@@ -78,9 +77,6 @@ func (c *Cursor) Meta() Meta { return c.meta }
 
 // Len returns the header-declared event count.
 func (c *Cursor) Len() int { return int(c.count) }
-
-// Version returns the container format version (1, 2, or 3).
-func (c *Cursor) Version() uint32 { return c.version }
 
 // Next returns the next event, or io.EOF after the last event once the
 // container's integrity checks have all passed. The returned pointer stays
@@ -96,9 +92,8 @@ func (c *Cursor) Next() (*Event, error) {
 	return e, nil
 }
 
-// fill decodes the next batch of events into the ring: one CRC-verified
-// chunk for version 3, one flat record batch for versions 1 and 2. At the
-// end of the stream it verifies the footer and returns io.EOF.
+// fill decodes the next CRC-verified chunk into the ring. At the end of
+// the stream it verifies the footer and returns io.EOF.
 func (c *Cursor) fill() error {
 	if c.err != nil {
 		return c.err
@@ -107,27 +102,18 @@ func (c *Cursor) fill() error {
 		return io.EOF
 	}
 	if c.decoded == c.count {
-		if c.version >= v2Version {
-			if err := readFooter(c.br, c.sum); err != nil {
-				c.err = err
-				return err
-			}
+		if err := checkFooter(c.br, c.sum); err != nil {
+			c.err = err
+			return err
 		}
 		c.done = true
 		return io.EOF
 	}
-	var n int
-	var err error
-	if c.version == formatVersion {
-		n, err = c.fillV3()
-	} else {
-		n, err = c.fillFlat()
+	n, err := c.fillChunk()
+	if err == nil {
+		err = c.validateBatch(n)
 	}
 	if err != nil {
-		c.err = err
-		return err
-	}
-	if err := c.validateBatch(n); err != nil {
 		c.err = err
 		return err
 	}
@@ -135,68 +121,29 @@ func (c *Cursor) fill() error {
 	return nil
 }
 
-// dst returns a contiguous destination for the next n ring slots, using
-// the spill scratch when the batch straddles the ring edge. commit copies
-// a spill-decoded batch into its ring slots; for the contiguous common
-// case it is a no-op.
-func (c *Cursor) dst(n int) (batch []Event, spilled bool) {
-	off := int(c.decoded & (cursorRing - 1))
-	if off+n <= cursorRing {
-		return c.ring[off : off+n], false
-	}
-	if cap(c.spill) < n {
-		c.spill = make([]Event, chunkEvents)
-	}
-	return c.spill[:n], true
-}
-
-// commit copies a spill-decoded batch into its (wrapped) ring slots.
-func (c *Cursor) commit(batch []Event) {
-	off := int(c.decoded & (cursorRing - 1))
-	head := cursorRing - off
-	copy(c.ring[off:], batch[:head])
-	copy(c.ring[:], batch[head:])
-}
-
-// fillV3 reads and decodes one version-3 chunk.
-func (c *Cursor) fillV3() (int, error) {
-	payload, nEvents, err := readChunkV3(c.br, &c.sum, &c.buf, c.decoded, c.count)
+// fillChunk reads one chunk and decodes it into the next ring slots. A
+// chunk that straddles the ring edge is decoded into the spill scratch and
+// then copied into its wrapped slots.
+func (c *Cursor) fillChunk() (int, error) {
+	payload, n, err := readChunk(c.br, &c.sum, &c.buf, c.decoded, c.count)
 	if err != nil {
 		return 0, err
 	}
-	batch, spilled := c.dst(nEvents)
+	off := int(c.decoded & (cursorRing - 1))
+	if off+n <= cursorRing {
+		return n, decodeChunkV3(payload, c.ring[off:off+n])
+	}
+	if c.spill == nil {
+		c.spill = make([]Event, chunkEvents)
+	}
+	batch := c.spill[:n]
 	if err := decodeChunkV3(payload, batch); err != nil {
 		return 0, err
 	}
-	if spilled {
-		c.commit(batch)
-	}
-	return nEvents, nil
-}
-
-// fillFlat reads and decodes one batch of flat version-1/2 records.
-func (c *Cursor) fillFlat() (int, error) {
-	nrec := c.count - c.decoded
-	if nrec > recBatch {
-		nrec = recBatch
-	}
-	need := int(nrec) * eventSize
-	if cap(c.buf) < need {
-		c.buf = make([]byte, need)
-	}
-	raw := c.buf[:need]
-	if _, err := io.ReadFull(c.br, raw); err != nil {
-		return 0, errShortEvent(c.decoded, err)
-	}
-	c.sum = crc32Append(c.sum, raw)
-	batch, spilled := c.dst(int(nrec))
-	if err := decodeFlatBatch(raw, batch, c.decoded); err != nil {
-		return 0, err
-	}
-	if spilled {
-		c.commit(batch)
-	}
-	return int(nrec), nil
+	head := cursorRing - off
+	copy(c.ring[off:], batch[:head])
+	copy(c.ring[:], batch[head:])
+	return n, nil
 }
 
 // validateBatch applies the per-event Validate invariants and the NextPC

@@ -9,38 +9,30 @@ import (
 
 // FuzzReadTrace throws arbitrary bytes at the deserializer. ReadTrace must
 // never panic or allocate unboundedly, and anything it accepts must be a
-// valid trace that survives a re-serialization round trip.
+// valid trace that survives a re-serialization round trip. The three
+// readers must reach one verdict: Cursor accepts exactly what ReadTrace
+// accepts, with the same events, and Stat on an accepted input finds every
+// checksum intact and accounts for every byte.
 func FuzzReadTrace(f *testing.F) {
-	// Seed corpus: valid traces in all three accepted formats (v3 chunked,
-	// v2 flat, legacy v1), a multi-chunk v3 trace, truncations at every
-	// structural boundary including the chunk header and mid-payload, bit
-	// flips in the chunk payload, a corrupted footer, a bogus magic, and a
-	// header claiming 2^34 events.
-	var buf bytes.Buffer
-	if _, err := miniTrace().WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	// Seed corpus: a valid trace, a header bit flip only the footer CRC
+	// catches, an implausible chunk header, a multi-chunk trace,
+	// truncations at every structural boundary including the chunk header
+	// and mid-payload, a bit flip in the chunk payload, trailing junk, a
+	// corrupted footer, a bogus magic, a header claiming 2^34 events, and
+	// two traces concatenated.
+	valid := encode(f, miniTrace())
 	f.Add(valid)
 
-	var v2buf bytes.Buffer
-	if _, err := miniTrace().WriteToV2(&v2buf); err != nil {
-		f.Fatal(err)
-	}
-	v2 := v2buf.Bytes()
-	f.Add(v2)
+	headerFlip := append([]byte(nil), valid...)
+	headerFlip[8] ^= 0x01
+	f.Add(headerFlip)
 
-	legacy := append([]byte(nil), v2[:len(v2)-footerSize]...)
-	binary.LittleEndian.PutUint32(legacy[4:8], legacyVersion)
-	f.Add(legacy)
+	badChunk := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(badChunk[hdrEnd+4:], 1)
+	f.Add(badChunk)
 
-	var multi bytes.Buffer
-	if _, err := syntheticTrace(chunkEvents + 64).WriteTo(&multi); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(multi.Bytes())
+	f.Add(encode(f, syntheticTrace(chunkEvents+64)))
 
-	hdrEnd := 24 + len("mini") + 8
 	for _, cut := range []int{0, 3, 10, 24, 30, hdrEnd, hdrEnd + chunkHdrSize,
 		hdrEnd + chunkHdrSize + 7, len(valid) - footerSize, len(valid) - 1} {
 		f.Add(append([]byte(nil), valid[:cut]...))
@@ -50,9 +42,7 @@ func FuzzReadTrace(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(flipped)
 
-	flippedV2 := append([]byte(nil), v2...)
-	flippedV2[len(flippedV2)/2] ^= 0x40
-	f.Add(flippedV2)
+	f.Add(append(append([]byte(nil), valid...), "junk"...))
 
 	badFoot := append([]byte(nil), valid...)
 	badFoot[len(badFoot)-1] ^= 0xFF
@@ -69,12 +59,11 @@ func FuzzReadTrace(f *testing.F) {
 	// Cursor-targeted seeds: a chunk whose declared event count straddles
 	// the ring-lookback boundary, and a stream whose last chunk is torn
 	// exactly at the footer so only the streaming footer check can notice.
-	var big bytes.Buffer
-	if _, err := syntheticTrace(2*chunkEvents + 137).WriteTo(&big); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(big.Bytes())
-	f.Add(append([]byte(nil), big.Bytes()[:big.Len()-footerSize-1]...))
+	big := encode(f, syntheticTrace(2*chunkEvents+137))
+	f.Add(big)
+	f.Add(append([]byte(nil), big[:len(big)-footerSize-1]...))
+
+	f.Add(append(append([]byte(nil), valid...), valid...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadTrace(bytes.NewReader(data))
@@ -95,6 +84,11 @@ func FuzzReadTrace(f *testing.F) {
 			if tr.Events[i] != ctr.Events[i] {
 				t.Fatalf("cursor event %d differs from ReadTrace", i)
 			}
+		}
+		s, serr := Stat(bytes.NewReader(data))
+		if serr != nil || s.Chunks != s.ChunksOK || !s.FooterOK ||
+			s.Events != uint64(len(tr.Events)) || s.FileBytes != uint64(len(data)) {
+			t.Fatalf("Stat disagrees with ReadTrace on a %d-byte input: %+v, err %v", len(data), s, serr)
 		}
 		// Accepted traces must be internally consistent and round-trip.
 		if err := tr.Validate(); err != nil {

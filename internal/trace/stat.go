@@ -1,14 +1,14 @@
 package trace
 
 // Container-level statistics for serialized traces. Stat walks the on-disk
-// structure — header, version-3 chunk frames, CRC footer — without decoding
-// events into memory, so `tracetool info` can report the physical layout
-// (chunk count, per-chunk CRC status, encoded bytes per event) of traces far
-// larger than RAM would allow ReadTrace to hold twice.
+// structure — header, chunk frames, CRC footer — through the same helpers
+// as ReadTrace and Cursor, without decoding events into memory, so
+// `tracetool info` can report the physical layout (chunk count, per-chunk
+// CRC status, encoded bytes per event) of traces far larger than RAM would
+// allow ReadTrace to hold twice.
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -16,14 +16,12 @@ import (
 
 // FileStat describes the physical layout of one serialized trace.
 type FileStat struct {
-	Version      uint32 // format version (1, 2, or 3)
 	App          string
 	Events       uint64 // declared event count
-	Chunks       int    // version-3 chunk frames (0 for flat formats)
+	Chunks       int    // chunk frames
 	ChunksOK     int    // chunks whose payload matched their CRC32
 	PayloadBytes uint64 // encoded event bytes (excluding container framing)
-	FileBytes    uint64 // total bytes consumed, framing included
-	HasFooter    bool   // whole-file CRC footer present (versions >= 2)
+	FileBytes    uint64 // total bytes, framing included
 	FooterOK     bool   // footer CRC matched the bytes read
 }
 
@@ -37,135 +35,46 @@ func (s FileStat) BytesPerEvent() float64 {
 
 // Stat reads a serialized trace's container structure from r. Checksum
 // mismatches — a corrupt chunk, a stale footer — are reported in the
-// returned stat rather than as errors; only structural damage (bad magic,
-// truncation, implausible frame sizes) fails.
+// returned stat where ReadTrace and Cursor would reject them; everything
+// else they reject (bad magic or version, truncation, implausible frame
+// sizes, bytes after the footer) fails Stat with the same error.
 func Stat(r io.Reader) (FileStat, error) {
-	var s FileStat
 	br := bufio.NewReaderSize(r, 1<<16)
-	sum := crc32.NewIEEE()
-	read := func(b []byte) error {
-		n, err := io.ReadFull(br, b)
-		s.FileBytes += uint64(n)
-		sum.Write(b[:n])
-		return err
+	var sum uint32
+	m, count, err := readHeader(br, &sum)
+	if err != nil {
+		return FileStat{}, err
 	}
-
-	var hdr [24]byte
-	if err := read(hdr[:]); err != nil {
-		return s, fmt.Errorf("trace: stat: short header: %w", err)
-	}
-	if [4]byte(hdr[0:4]) != traceMagic {
-		return s, fmt.Errorf("trace: stat: bad magic %q", hdr[0:4])
-	}
-	s.Version = binary.LittleEndian.Uint32(hdr[4:8])
-	switch s.Version {
-	case legacyVersion, v2Version, formatVersion:
-	default:
-		return s, fmt.Errorf("trace: stat: unsupported format version %d", s.Version)
-	}
-	appLen := binary.LittleEndian.Uint32(hdr[20:24])
-	if appLen > 1<<16 {
-		return s, fmt.Errorf("trace: stat: implausible app name length %d", appLen)
-	}
-	app := make([]byte, appLen)
-	if err := read(app); err != nil {
-		return s, fmt.Errorf("trace: stat: short app name: %w", err)
-	}
-	s.App = string(app)
-	var cnt [8]byte
-	if err := read(cnt[:]); err != nil {
-		return s, fmt.Errorf("trace: stat: short count: %w", err)
-	}
-	s.Events = binary.LittleEndian.Uint64(cnt[:])
-	if s.Events > 1<<34 {
-		return s, fmt.Errorf("trace: stat: implausible event count %d", s.Events)
-	}
-
-	if s.Version == formatVersion {
-		var buf []byte
-		for done := uint64(0); done < s.Events; {
-			var ch [chunkHdrSize]byte
-			if err := read(ch[:]); err != nil {
-				return s, fmt.Errorf("trace: stat: short chunk header after %d events: %w", done, err)
-			}
-			nEvents := binary.LittleEndian.Uint32(ch[0:4])
-			nBytes := binary.LittleEndian.Uint32(ch[4:8])
-			if nEvents == 0 || uint64(nEvents) > s.Events-done || nEvents > chunkEvents {
-				return s, fmt.Errorf("trace: stat: implausible chunk of %d events (%d remain)", nEvents, s.Events-done)
-			}
-			if nBytes > uint32(nEvents)*maxEventEnc {
-				return s, fmt.Errorf("trace: stat: implausible chunk size %d for %d events", nBytes, nEvents)
-			}
-			if uint32(cap(buf)) < nBytes {
-				buf = make([]byte, nBytes)
-			}
-			payload := buf[:nBytes]
-			if err := read(payload); err != nil {
-				return s, fmt.Errorf("trace: stat: short chunk payload after %d events: %w", done, err)
-			}
-			var crc [4]byte
-			if err := read(crc[:]); err != nil {
-				return s, fmt.Errorf("trace: stat: short chunk CRC after %d events: %w", done, err)
-			}
-			s.Chunks++
-			if crc32.ChecksumIEEE(payload) == binary.LittleEndian.Uint32(crc[:]) {
-				s.ChunksOK++
-			}
-			s.PayloadBytes += uint64(nBytes)
-			done += uint64(nEvents)
+	s := FileStat{App: m.App, Events: count, FileBytes: headerSize(m.App)}
+	var buf []byte
+	for read := uint64(0); read < count; {
+		payload, n, crc, err := readFrame(br, &sum, &buf, read, count)
+		if err != nil {
+			return s, err
 		}
-	} else {
-		// Flat formats: a fixed-size record per event, no chunk framing.
-		s.PayloadBytes = s.Events * eventSize
-		if err := discard(br, s.PayloadBytes, read); err != nil {
-			return s, fmt.Errorf("trace: stat: short flat records: %w", err)
+		s.Chunks++
+		if crc32.ChecksumIEEE(payload) == crc {
+			s.ChunksOK++
 		}
+		s.PayloadBytes += uint64(len(payload))
+		s.FileBytes += chunkHdrSize + uint64(len(payload)) + chunkCRCSize
+		read += uint64(n)
 	}
-
-	if s.Version >= v2Version {
-		want := sum.Sum32()
-		var foot [footerSize]byte
-		if err := read(foot[:]); err != nil {
-			return s, fmt.Errorf("trace: stat: short CRC footer: %w", err)
-		}
-		if [4]byte(foot[0:4]) != footerMagic {
-			return s, fmt.Errorf("trace: stat: bad CRC footer magic %q", foot[0:4])
-		}
-		s.HasFooter = true
-		s.FooterOK = binary.LittleEndian.Uint32(foot[4:8]) == want
+	want, err := readFooter(br)
+	if err != nil {
+		return s, err
 	}
+	s.FileBytes += footerSize
+	s.FooterOK = want == sum
 	return s, nil
-}
-
-// discard streams n payload bytes through read in bounded pieces.
-func discard(br *bufio.Reader, n uint64, read func([]byte) error) error {
-	buf := make([]byte, 64*1024)
-	for n > 0 {
-		chunk := uint64(len(buf))
-		if chunk > n {
-			chunk = n
-		}
-		if err := read(buf[:chunk]); err != nil {
-			return err
-		}
-		n -= chunk
-	}
-	return nil
 }
 
 // Format renders the stat as the one-line physical summary tracetool prints.
 func (s FileStat) Format() string {
-	out := fmt.Sprintf("format v%d, %d bytes, %.2f bytes/event", s.Version, s.FileBytes, s.BytesPerEvent())
-	if s.Version == formatVersion {
-		out += fmt.Sprintf(", %d chunks (%d/%d CRC ok)", s.Chunks, s.ChunksOK, s.Chunks)
+	out := fmt.Sprintf("format v%d, %d bytes, %.2f bytes/event, %d chunks (%d/%d CRC ok)",
+		formatVersion, s.FileBytes, s.BytesPerEvent(), s.Chunks, s.ChunksOK, s.Chunks)
+	if s.FooterOK {
+		return out + ", footer CRC ok"
 	}
-	switch {
-	case !s.HasFooter:
-		out += ", no footer (legacy v1)"
-	case s.FooterOK:
-		out += ", footer CRC ok"
-	default:
-		out += ", FOOTER CRC MISMATCH"
-	}
-	return out
+	return out + ", FOOTER CRC MISMATCH"
 }

@@ -17,46 +17,25 @@ func TestStatV3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Version != formatVersion || s.App != tr.App || s.Events != uint64(tr.Len()) {
+	if s.App != tr.App || s.Events != uint64(tr.Len()) {
 		t.Errorf("stat identity = %+v", s)
 	}
 	if s.Chunks != 4 || s.ChunksOK != 4 {
 		t.Errorf("chunks = %d ok %d, want 4/4", s.Chunks, s.ChunksOK)
 	}
-	if !s.HasFooter || !s.FooterOK {
-		t.Errorf("footer = present %v ok %v, want true/true", s.HasFooter, s.FooterOK)
+	if !s.FooterOK {
+		t.Error("footer CRC not ok on an intact trace")
 	}
 	if s.FileBytes != uint64(n) {
 		t.Errorf("FileBytes = %d, want the %d WriteTo reported", s.FileBytes, n)
 	}
-	if bpe := s.BytesPerEvent(); bpe <= 0 || bpe >= eventSize {
-		t.Errorf("bytes/event = %.2f, want (0, %d): v3 must beat the flat encoding", bpe, eventSize)
+	if bpe := s.BytesPerEvent(); bpe <= 0 || bpe >= flatRecordSize {
+		t.Errorf("bytes/event = %.2f, want (0, %d): v3 must beat the flat encoding", bpe, flatRecordSize)
 	}
 	for _, want := range []string{"format v3", "4 chunks (4/4 CRC ok)", "footer CRC ok", "bytes/event"} {
 		if !strings.Contains(s.Format(), want) {
 			t.Errorf("Format() missing %q: %s", want, s.Format())
 		}
-	}
-}
-
-func TestStatV2Flat(t *testing.T) {
-	tr := syntheticTrace(500)
-	var buf bytes.Buffer
-	if _, err := tr.WriteToV2(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Stat(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Version != v2Version || s.Chunks != 0 {
-		t.Errorf("v2 stat = %+v", s)
-	}
-	if s.PayloadBytes != 500*eventSize || s.BytesPerEvent() != eventSize {
-		t.Errorf("flat payload = %d (%.1f/event), want %d", s.PayloadBytes, s.BytesPerEvent(), 500*eventSize)
-	}
-	if !s.HasFooter || !s.FooterOK {
-		t.Errorf("v2 footer = %+v", s)
 	}
 }
 

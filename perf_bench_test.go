@@ -46,9 +46,8 @@ type perfBenchReport struct {
 	SweepSpeedup     float64 `json:"windowsweepall_speedup,omitempty"`
 	SweepSpeedupNote string  `json:"windowsweepall_speedup_note,omitempty"`
 
-	RunDSNs       float64 `json:"runds_ns_per_op"`
-	RunDSAllocs   float64 `json:"runds_allocs_per_op"`
-	RunDSBaseline float64 `json:"runds_allocs_per_op_before_pooling"`
+	RunDSNs     float64 `json:"runds_ns_per_op"`
+	RunDSAllocs float64 `json:"runds_allocs_per_op"`
 
 	Tango16Ns float64 `json:"tango16_ns_per_op"`
 
@@ -66,10 +65,8 @@ type perfBenchReport struct {
 	SkipSpeedup200  float64 `json:"timeskip_speedup_lat200"`
 	SkipSpeedup1000 float64 `json:"timeskip_speedup_lat1000"`
 
-	// Trace format v3 vs v2, aggregated over the five paper applications.
-	TraceV2BytesPerEvent float64 `json:"trace_v2_bytes_per_event"`
+	// Encoded trace density, aggregated over the five paper applications.
 	TraceV3BytesPerEvent float64 `json:"trace_v3_bytes_per_event"`
-	TraceV3SizeRatio     float64 `json:"trace_v3_size_ratio"`
 
 	// Streaming v3 decode (trace.Cursor): a full scan of the serialized
 	// ocean trace, events handed out through the fixed ring. Steady-state
@@ -107,7 +104,6 @@ func BenchmarkPerf(b *testing.B) {
 	rep := perfBenchReport{
 		GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0), Scale: "small",
-		RunDSBaseline: 1910,
 	}
 
 	b.Run("WindowSweepAll/serial", func(b *testing.B) {
@@ -304,30 +300,23 @@ func BenchmarkPerf(b *testing.B) {
 		b.ReportMetric(rep.SkipSpeedup1000, "timeskip-speedup@1000")
 	}
 
-	// Trace format sizes, aggregated over all five paper applications.
+	// Encoded trace size, aggregated over all five paper applications.
 	{
 		e := benchHarness(b)
-		var v2Bytes, v3Bytes, events int64
+		var v3Bytes, events int64
 		for _, app := range e.Apps() {
 			run, err := e.Run(app)
 			if err != nil {
 				b.Fatal(err)
 			}
-			n3, err := run.Trace.WriteTo(io.Discard)
+			n, err := run.Trace.WriteTo(io.Discard)
 			if err != nil {
 				b.Fatal(err)
 			}
-			n2, err := run.Trace.WriteToV2(io.Discard)
-			if err != nil {
-				b.Fatal(err)
-			}
-			v3Bytes += n3
-			v2Bytes += n2
+			v3Bytes += n
 			events += int64(run.Trace.Len())
 		}
-		rep.TraceV2BytesPerEvent = float64(v2Bytes) / float64(events)
 		rep.TraceV3BytesPerEvent = float64(v3Bytes) / float64(events)
-		rep.TraceV3SizeRatio = float64(v3Bytes) / float64(v2Bytes)
 		b.ReportMetric(rep.TraceV3BytesPerEvent, "v3-bytes/event")
 	}
 
