@@ -219,9 +219,11 @@ func BenchmarkIssue4(b *testing.B) {
 }
 
 // BenchmarkTango16 measures the 16-processor execution-driven simulation
-// (package tango) generating one application trace end to end — the hot
-// loop behind every trace the harness consumes, and the beneficiary of the
-// ready-heap scheduler that replaced the per-step linear processor scan.
+// (package tango) generating one small application trace end to end,
+// application construction included. Its scheduler is a time wheel of
+// per-cycle buckets of ready processor ids, with a heap only for wakeups
+// past the wheel's span. At this scale construction dominates; BenchmarkPerf's
+// Tango arms report medium-scale ns per generated instruction.
 func BenchmarkTango16(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -157,13 +157,15 @@ func serveSSE(w http.ResponseWriter, r *http.Request, hub *TimelineHub) {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
+	// Subscribe before the headers go out: a client that has its response
+	// must see every event published after that.
+	ch, cancel := hub.Subscribe(256)
+	defer cancel()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
-	ch, cancel := hub.Subscribe(256)
-	defer cancel()
 	for {
 		select {
 		case ev, ok := <-ch:

@@ -6,6 +6,8 @@ package tango
 import (
 	"context"
 	"errors"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -72,6 +74,19 @@ func TestDeadlockCarriesMachineState(t *testing.T) {
 	}
 	if !strings.Contains(me.State, "blocked") || !strings.Contains(me.State, "lock-waiters=1") {
 		t.Errorf("deadlock dump not diagnosable: %q", me.State)
+	}
+	// The deadlock fires after the last step, the hog's halt: Cycle is the
+	// time of that step, the latest halted@N in the dump.
+	var lastHalt uint64
+	for _, m := range regexp.MustCompile(`halted@(\d+)`).FindAllStringSubmatch(me.State, -1) {
+		n, err := strconv.ParseUint(m[1], 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lastHalt = max(lastHalt, n)
+	}
+	if me.Cycle == 0 || me.Cycle != lastHalt {
+		t.Errorf("deadlock Cycle = %d, want the latest halt time %d (> 0); state: %s", me.Cycle, lastHalt, me.State)
 	}
 }
 

@@ -12,13 +12,19 @@
 //
 // The simulator is deterministic: processors are stepped in global time
 // order with processor id breaking ties, so a given application and
-// configuration always produces the identical trace.
+// configuration always produces the identical trace. The scheduler finds the
+// next processor in a time wheel (readyQueue): one bucket per cycle for the
+// next wheelSpan cycles, each a bit mask of ready processor ids, with a
+// binary heap holding the rare wakeups further ahead. The processors run
+// almost in lockstep, so nearly every pop is a bit scan of the current or
+// next cycle's bucket instead of a heap pop among tied entries.
 package tango
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 
 	"dynsched/internal/asm"
@@ -108,18 +114,122 @@ type Result struct {
 
 const unblocked = math.MaxUint64
 
-// procEntry is one scheduled wakeup in the scheduler's ready heap.
+// wheelSpan is the number of per-cycle buckets in the ready queue's wheel.
+// It is a fixed constant, not sized from the miss penalty: a 2048-bucket
+// wheel measured slower than this one at the paper's 50-cycle penalty, and
+// with its overflow heap this wheel still beat the heap-only queue it
+// replaced at a 1000-cycle penalty. It must be a power of two and at least
+// 64 (one occupancy word per 64 buckets).
+const wheelSpan = 256
+
+// readyQueue is the scheduler's event queue: the set of pending (at, id)
+// wakeups, popped in (at, lowest id) order — exactly the interleaving of the
+// original linear scan ("smallest readyAt, lowest id wins"), so traces are
+// bit-identical. The processors advance almost in lockstep, so wakeups
+// cluster within a few cycles of the current time; the queue indexes them
+// by cycle instead of searching for the minimum.
+//
+// Wakeups fewer than wheelSpan cycles after now live in a wheel of
+// per-cycle buckets, bucket at%wheelSpan, each a bit mask of ready processor
+// ids (words uint64s per bucket, so any processor count stays on the
+// wheel). The lowest set bit is the lowest id. Wakeups further ahead wait in
+// the far heap and move onto the wheel as now comes within wheelSpan of
+// them, so the wheel's first non-empty bucket always holds the minimum.
+//
+// A push must not be earlier than now, the time of the last pop; the
+// scheduler only schedules wakeups at or after the step it is executing.
+// A duplicate (at, id) push is popped once.
+type readyQueue struct {
+	now   uint64                 // time of the last pop
+	words int                    // mask words per bucket: ⌈NumCPUs/64⌉
+	occ   [wheelSpan / 64]uint64 // bit b set: bucket b is non-empty
+	masks []uint64               // bucket b's mask is masks[b*words : (b+1)*words]
+	far   procHeap               // wakeups at or after now+wheelSpan
+}
+
+func newReadyQueue(numCPUs int) readyQueue {
+	words := (numCPUs + 63) / 64
+	return readyQueue{words: words, masks: make([]uint64, wheelSpan*words)}
+}
+
+func (q *readyQueue) push(at uint64, id int) {
+	if at-q.now >= wheelSpan {
+		q.far.push(procEntry{at: at, id: id})
+		return
+	}
+	b := int(at % wheelSpan)
+	q.masks[b*q.words+id>>6] |= 1 << (id & 63)
+	q.occ[b>>6] |= 1 << (b & 63)
+}
+
+// pop removes and returns the smallest pending (at, id), advancing now to
+// its time; ok is false when the queue is empty.
+func (q *readyQueue) pop() (e procEntry, ok bool) {
+	b := q.firstBucket()
+	if b < 0 {
+		if len(q.far) == 0 {
+			return procEntry{}, false
+		}
+		q.now = q.far[0].at
+		b = int(q.now % wheelSpan)
+	} else {
+		q.now += uint64((b - int(q.now%wheelSpan)) & (wheelSpan - 1))
+	}
+	for len(q.far) > 0 && q.far[0].at-q.now < wheelSpan {
+		f := q.far.pop()
+		q.push(f.at, f.id)
+	}
+	m := q.masks[b*q.words : (b+1)*q.words]
+	for w, x := range m {
+		if x == 0 {
+			continue
+		}
+		m[w] = x & (x - 1)
+		if m[w] == 0 && isZero(m[w+1:]) {
+			q.occ[b>>6] &^= 1 << (b & 63)
+		}
+		return procEntry{at: q.now, id: w*64 + bits.TrailingZeros64(x)}, true
+	}
+	panic("tango: ready queue occupancy names an empty bucket")
+}
+
+// firstBucket returns the first non-empty bucket at or cyclically after
+// now's, which holds the earliest wakeup on the wheel, or -1 if the wheel
+// is empty.
+func (q *readyQueue) firstBucket() int {
+	start := int(q.now % wheelSpan)
+	w := start >> 6
+	if x := q.occ[w] >> (start & 63); x != 0 {
+		return start + bits.TrailingZeros64(x)
+	}
+	for i := 1; i <= len(q.occ); i++ {
+		// The last iteration revisits word w whole: its buckets below
+		// start are the wheel's latest cycles.
+		wi := (w + i) % len(q.occ)
+		if x := q.occ[wi]; x != 0 {
+			return wi*64 + bits.TrailingZeros64(x)
+		}
+	}
+	return -1
+}
+
+func isZero(ws []uint64) bool {
+	for _, x := range ws {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// procEntry is one scheduled wakeup in the ready queue's overflow heap.
 type procEntry struct {
 	at uint64 // the processor's readyAt when the entry was pushed
 	id int
 }
 
-// procHeap is a binary min-heap on (at, id) — the event queue of the
-// scheduler. Ordering by time with processor id breaking ties reproduces
-// exactly the interleaving of the original linear scan ("smallest readyAt,
-// lowest id wins"), so traces are bit-identical. Entries are lazy: when a
-// blocked processor is woken its stale entry stays behind and is discarded
-// on pop by comparing the recorded time against the live readyAt.
+// procHeap is a binary min-heap on (at, id): the ready queue's overflow for
+// wakeups too far ahead for the wheel.
 type procHeap []procEntry
 
 func (h *procHeap) push(e procEntry) {
@@ -223,7 +333,7 @@ type sim struct {
 	tr  *trace.Trace
 	trs []*trace.Trace // per-processor traces when RecordAll
 
-	ready procHeap // lazy min-heap of (readyAt, id) wakeup entries
+	ready readyQueue // pending (readyAt, id) wakeups
 
 	memNextFree uint64 // earliest time the memory system accepts a new miss
 
@@ -390,18 +500,18 @@ func (s *sim) publishMetrics(res *Result) {
 	}
 }
 
-// enqueue schedules p's next wakeup in the ready heap; no-op for halted or
+// enqueue schedules p's next wakeup in the ready queue; no-op for halted or
 // blocked processors (a blocked processor is enqueued by whoever wakes it).
 func (s *sim) enqueue(p *proc) {
 	if p.halted || p.readyAt == unblocked {
 		return
 	}
-	s.ready.push(procEntry{at: p.readyAt, id: p.id})
+	s.ready.push(p.readyAt, p.id)
 }
 
 func (s *sim) loop() error {
 	running := len(s.procs)
-	s.ready = make(procHeap, 0, 2*len(s.procs))
+	s.ready = newReadyQueue(len(s.procs))
 	for _, p := range s.procs {
 		s.enqueue(p)
 	}
@@ -411,8 +521,11 @@ func (s *sim) loop() error {
 		// linear scan produced, now via the event queue: the scheduler does
 		// no per-processor polling, it jumps straight to the next wakeup.
 		var next *proc
-		for len(s.ready) > 0 {
-			e := s.ready.pop()
+		for {
+			e, ok := s.ready.pop()
+			if !ok {
+				break
+			}
 			p := s.procs[e.id]
 			if p.halted || p.readyAt == unblocked || p.readyAt != e.at {
 				continue // stale: the processor moved on (or blocked) since the push
@@ -421,11 +534,11 @@ func (s *sim) loop() error {
 			break
 		}
 		if next == nil {
-			return s.machineError("deadlock", 0,
+			return s.machineError("deadlock", s.ready.now,
 				"%d processors blocked with no pending wakeup", s.blockedCount())
 		}
 		now := next.readyAt
-		// Global time is monotone (the heap pops smallest readyAt first),
+		// Global time is monotone (the queue pops smallest readyAt first),
 		// so every 2^k boundary the machine passes is crossed exactly once:
 		// record the cumulative machine state before the step at now runs.
 		if tl := s.cfg.Timeline; tl != nil {
@@ -493,7 +606,7 @@ func (s *sim) blockedCount() int {
 // fail identically.
 type MachineError struct {
 	Reason string // "deadlock", "runaway", "cycle budget"
-	Cycle  uint64 // global time when the error fired (0 for deadlock)
+	Cycle  uint64 // global time when the error fired (for deadlock, of the last step)
 	Detail string
 	State  string // per-processor machine-state dump
 }

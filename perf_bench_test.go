@@ -1,10 +1,11 @@
 package dynsched
 
-// BenchmarkPerf tracks the two performance claims of the parallel
-// experiment scheduler work: the serial-vs-parallel wall time of a full
-// figure regeneration (WindowSweepAll across all five applications), and
-// the steady-state allocation count of a pooled-scratch DS replay. The
-// numbers are written to BENCH_perf.json so they are tracked in the
+// BenchmarkPerf tracks the repository's layer-level performance claims:
+// the serial-vs-parallel wall time of a full figure regeneration
+// (WindowSweepAll across all five applications), the steady-state
+// allocation count of a pooled-scratch DS replay, tango trace generation
+// per instruction, time-skip replay, cursor decode and the result cache.
+// The numbers are written to BENCH_perf.json so they are tracked in the
 // repository. On a single-core host the serial and parallel sweeps time
 // out the same — the speedup column is only meaningful at GOMAXPROCS >= 2.
 //
@@ -50,6 +51,12 @@ type perfBenchReport struct {
 	RunDSAllocs float64 `json:"runds_allocs_per_op"`
 
 	Tango16Ns float64 `json:"tango16_ns_per_op"`
+	// Tango generation at medium scale in ns per generated instruction,
+	// summed over all processors and including application construction:
+	// lu on the default machine, and ocean at a 1000-cycle miss penalty,
+	// where miss wakeups land past the ready queue's wheel span.
+	TangoMediumNsPerInstr  float64 `json:"tango_medium_ns_per_instr"`
+	TangoLat1000NsPerInstr float64 `json:"tango_lat1000_ns_per_instr"`
 
 	// Event-driven time skip: DS RC/W64 replay cost with skipping on
 	// (default) and forced off, at rising miss penalties. The skip arm
@@ -166,6 +173,31 @@ func BenchmarkPerf(b *testing.B) {
 		}
 		rep.Tango16Ns = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	})
+	tangoArm := func(name, app string, penalty uint32, slot *float64) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var instrs uint64
+			for i := 0; i < b.N; i++ {
+				opts := exp.DefaultOptions()
+				opts.Scale = apps.ScaleMedium
+				if penalty != 0 {
+					opts.MissPenalty = penalty
+				}
+				opts.Apps = []string{app}
+				run, err := exp.New(opts).Run(app)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, c := range run.CPUs {
+					instrs += c.Instructions
+				}
+			}
+			*slot = float64(b.Elapsed().Nanoseconds()) / float64(instrs)
+			b.ReportMetric(*slot, "ns/instr")
+		})
+	}
+	tangoArm("TangoMedium", "lu", 0, &rep.TangoMediumNsPerInstr)
+	tangoArm("TangoLat1000", "ocean", 1000, &rep.TangoLat1000NsPerInstr)
 
 	b.Run("CursorScan", func(b *testing.B) {
 		b.ReportAllocs()
