@@ -241,8 +241,8 @@ func replay(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: tracetool replay [flags] <file>")
 	}
-	if *window < 1 {
-		return fmt.Errorf("replay: -window must be >= 1, got %d", *window)
+	if *window < 1 || *window > cpu.MaxWindow {
+		return fmt.Errorf("replay: -window must be in [1, %d], got %d", cpu.MaxWindow, *window)
 	}
 	if *width < 1 {
 		return fmt.Errorf("replay: -width must be >= 1, got %d", *width)

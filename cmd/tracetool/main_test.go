@@ -74,6 +74,9 @@ func TestToolErrors(t *testing.T) {
 		{[]string{"replay", "-arch", "BASE", "-pipe-trace-out", filepath.Join(dir, "p.json"), file}, []string{"-pipe-trace-out", "-arch BASE"}},
 		{[]string{"replay", "-window", "0", file}, []string{"-window", "got 0"}},
 		{[]string{"replay", "-window", "-5", file}, []string{"-window", "got -5"}},
+		// An absurd DS window is refused before the replay allocates its
+		// reorder-buffer ring.
+		{[]string{"replay", "-arch", "DS", "-window", "4000000000", file}, []string{"-window", "got 4000000000"}},
 		{[]string{"replay", "-width", "0", file}, []string{"-width", "got 0"}},
 		{[]string{"replay", "-arch", "SS", "-width", "-2", file}, []string{"-width", "got -2"}},
 	} {

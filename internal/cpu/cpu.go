@@ -263,9 +263,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// MaxWindow is the largest DS reorder-buffer window a replay accepts, far
+// above the paper's 256. It bounds the ring a replay allocates, and
+// experiment cell specs share it.
+const MaxWindow = 1 << 20
+
 func (c Config) validate() error {
-	if c.Window < 1 {
-		return fmt.Errorf("cpu: window %d < 1", c.Window)
+	if c.Window < 1 || c.Window > MaxWindow {
+		return fmt.Errorf("cpu: window %d out of range [1, %d]", c.Window, MaxWindow)
 	}
 	if c.IssueWidth < 1 {
 		return fmt.Errorf("cpu: issue width %d < 1", c.IssueWidth)

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"dynsched/internal/bpred"
@@ -572,6 +574,13 @@ func TestConfigValidation(t *testing.T) {
 	tr := newTB().alu(1, 0, 0).halt()
 	if _, err := RunDS(tr, Config{Window: -1}); err == nil {
 		t.Error("negative window accepted")
+	}
+	if _, err := RunDS(tr, Config{Window: MaxWindow + 1}); err == nil || !strings.Contains(err.Error(), fmt.Sprint("window ", MaxWindow+1)) {
+		t.Errorf("window above MaxWindow: err = %v, want a rejection naming the window", err)
+	}
+	// The bound itself is accepted (checked on a model with no ring).
+	if _, err := RunSSBR(tr, Config{Window: MaxWindow}); err != nil {
+		t.Errorf("window MaxWindow rejected: %v", err)
 	}
 	if _, err := RunSSBR(tr, Config{WriteBufDepth: -1}); err == nil {
 		t.Error("negative write buffer accepted")

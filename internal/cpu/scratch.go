@@ -1,14 +1,15 @@
 package cpu
 
 // Allocation-free hot paths. A figure sweep replays the same trace through
-// RunDS/RunSS/RunSSBR thousands of times, and each replay used to rebuild
-// its reorder-buffer entries, event heap, memory queue, and one heap-
-// allocated memOp per memory instruction. The scratch structures here are
-// recycled through sync.Pools so a steady-state replay performs no
+// RunDS/RunSS/RunSSBR thousands of times, and each replay would otherwise
+// rebuild its reorder-buffer ring, event heap, memory port queues, and one
+// heap-allocated memOp per memory instruction. The scratch structures here
+// are recycled through sync.Pools so a steady-state replay performs no
 // allocations beyond its Result: each parallel experiment worker naturally
 // ends up with its own scratch, and single-threaded callers reuse one.
 
 import (
+	"math/bits"
 	"sync"
 
 	"dynsched/internal/consistency"
@@ -17,7 +18,7 @@ import (
 
 // arenaBlockSize is the number of memOps per arena block. Blocks are never
 // reallocated, so pointers handed out by alloc stay valid for the arena's
-// lifetime — the property the memq/entries cross-references rely on.
+// lifetime — the property the port/entries cross-references rely on.
 const arenaBlockSize = 1024
 
 // opArena hands out memOps from fixed-size blocks and recycles all of them
@@ -59,40 +60,43 @@ func (a *opArena) newMemOp(seq int, e *trace.Event) *memOp {
 	return op
 }
 
-// dsScratch is the reusable working set of one RunDS replay.
+// dsScratch is the reusable working set of one RunDS replay: the
+// reorder-buffer ring, the event and dispatch heaps, the memory port's
+// candidate list and per-kind queues, the account's credit stack, and the
+// memOp arena.
 type dsScratch struct {
 	entries  []dsEntry
 	evq      eventHeap
 	dispatch seqHeap
-	memq     []*memOp
+	port     memPort
 	runs     []stallRun // the account's credit stack
 	arena    opArena
 }
 
-var dsPool = sync.Pool{New: func() any { return new(dsScratch) }}
+var dsPool = sync.Pool{New: func() any { return &dsScratch{port: newMemPort()} }}
 
-// getDSScratch returns a scratch with at least window entries, all zeroed.
+// getDSScratch returns a scratch whose reorder-buffer ring has the smallest
+// power-of-two size that holds window entries, all zeroed, so a sequence
+// number maps to its slot with a mask. window is at most MaxWindow.
 func getDSScratch(window int) *dsScratch {
 	s := dsPool.Get().(*dsScratch)
-	if cap(s.entries) < window {
-		s.entries = make([]dsEntry, window)
+	ring := 1 << bits.Len(uint(window-1))
+	if cap(s.entries) < ring {
+		s.entries = make([]dsEntry, ring)
 	}
-	s.entries = s.entries[:window]
+	s.entries = s.entries[:ring]
 	return s
 }
 
 // release clears every pointer the run left behind — trace events in the
-// entries, arena ops in the memory queue — so a pooled scratch never pins a
+// entries, arena ops in the memory port — so a pooled scratch never pins a
 // trace, then returns it to the pool.
 func (s *dsScratch) release() {
 	for i := range s.entries {
 		w := s.entries[i].waiters
 		s.entries[i] = dsEntry{waiters: w[:0]}
 	}
-	for i := range s.memq {
-		s.memq[i] = nil
-	}
-	s.memq = s.memq[:0]
+	s.port.reset()
 	s.evq = s.evq[:0]
 	s.dispatch = s.dispatch[:0]
 	s.runs = s.runs[:0]

@@ -124,18 +124,6 @@ func pendingOf(op *memOp, p *consistency.Pending) {
 	}
 }
 
-// pendingBefore is the consistency.Pending summary of the unperformed
-// accesses in ops older than seq.
-func pendingBefore(ops []*memOp, seq int) consistency.Pending {
-	var p consistency.Pending
-	for _, op := range ops {
-		if !op.performed && op.seq < seq {
-			pendingOf(op, &p)
-		}
-	}
-	return p
-}
-
 // stallOn classifies a stall on blocked, an unperformed access. If it has
 // issued, the processor is genuinely waiting for memory: the stall is the
 // access's own latency. If it has not issued, it is held back by

@@ -41,8 +41,9 @@ type CellSpec struct {
 	BTBEntries     int    `json:"btb_entries,omitempty"`     // 4-way BTB; 0 = paper BTB
 }
 
-// maxSpecSize bounds every size knob of a wire spec, so a hostile or
-// corrupt value cannot make a worker allocate without limit.
+// maxSpecSize bounds the size knobs of a wire spec, so a hostile or
+// corrupt value cannot make a worker allocate without limit. The window
+// takes the replay's own bound, cpu.MaxWindow.
 const maxSpecSize = 1 << 20
 
 // Validate rejects specs that could not have come from a spec constructor —
@@ -60,7 +61,7 @@ func (s CellSpec) Validate() error {
 		name   string
 		v, max int
 	}{
-		{"window", s.Window, maxSpecSize},
+		{"window", s.Window, cpu.MaxWindow},
 		{"issue width", s.IssueWidth, 64},
 		{"store buffer depth", s.StoreBufDepth, maxSpecSize},
 		{"MSHR count", s.MSHRs, maxSpecSize},

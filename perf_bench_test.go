@@ -3,8 +3,9 @@ package dynsched
 // BenchmarkPerf tracks the repository's layer-level performance claims:
 // the serial-vs-parallel wall time of a full figure regeneration
 // (WindowSweepAll across all five applications), the steady-state
-// allocation count of a pooled-scratch DS replay, tango trace generation
-// per instruction, time-skip replay, cursor decode and the result cache.
+// allocation count of a pooled-scratch DS replay, DS replay per instruction
+// at the largest window, tango trace generation per instruction, time-skip
+// replay, cursor decode and the result cache.
 // The numbers are written to BENCH_perf.json so they are tracked in the
 // repository. On a single-core host the serial and parallel sweeps time
 // out the same — the speedup column is only meaningful at GOMAXPROCS >= 2.
@@ -49,6 +50,10 @@ type perfBenchReport struct {
 
 	RunDSNs     float64 `json:"runds_ns_per_op"`
 	RunDSAllocs float64 `json:"runds_allocs_per_op"`
+	// DS replay of medium ocean under RC at window 256, where the memory
+	// port holds the most accesses, in ns per replayed instruction
+	// (perfbench's cpu.DS256.ns_per_instr unit).
+	DS256NsPerInstr float64 `json:"ds_w256_ns_per_instr"`
 
 	Tango16Ns float64 `json:"tango16_ns_per_op"`
 	// Tango generation at medium scale in ns per generated instruction,
@@ -159,6 +164,31 @@ func BenchmarkPerf(b *testing.B) {
 		rep.RunDSNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 		rep.RunDSAllocs = float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N)
 	})
+
+	{
+		opts := exp.DefaultOptions()
+		opts.Scale = apps.ScaleMedium
+		opts.Apps = []string{"ocean"}
+		run, err := exp.New(opts).Run("ocean")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run("RunDS/W256", func(b *testing.B) {
+			b.ReportAllocs()
+			cfg := cpu.Config{Model: consistency.RC, Window: 256}
+			if _, err := cpu.RunDS(run.Trace, cfg); err != nil { // warm the scratch pool
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cpu.RunDS(run.Trace, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			rep.DS256NsPerInstr = float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(run.Trace.Len())
+			b.ReportMetric(rep.DS256NsPerInstr, "ns/instr")
+		})
+	}
 
 	b.Run("Tango16", func(b *testing.B) {
 		b.ReportAllocs()
