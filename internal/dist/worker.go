@@ -223,12 +223,11 @@ func (w *Worker) getTrace(ctx context.Context, addr string) (*trace.Trace, error
 			lastErr = fmt.Errorf("trace %s arrived with content address %s", addr, got)
 			continue
 		}
-		decoded, err := trace.ReadTrace(bytes.NewReader(data))
+		tr, err = trace.ReadTrace(bytes.NewReader(data))
 		if err != nil {
 			lastErr = fmt.Errorf("trace %s failed checksum verification: %w", addr, err)
 			continue
 		}
-		tr = decoded.Freeze()
 		w.mu.Lock()
 		w.traces[addr] = tr
 		w.mu.Unlock()

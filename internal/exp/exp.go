@@ -324,10 +324,7 @@ func (e *Experiment) generate(app string) (run *AppRun, err error) {
 	if err := res.Trace.Validate(); err != nil {
 		return nil, fmt.Errorf("exp: %s: %w", app, err)
 	}
-	// Freeze trims the generation-time append slack off the event arena, so
-	// the copy cached for the whole sweep is exactly one event's worth of
-	// memory per event — the arena every cell's view aliases.
-	run = &AppRun{App: app, Trace: res.Trace.Freeze(), Caches: res.CacheStats, CPUs: res.CPUStats}
+	run = &AppRun{App: app, Trace: res.Trace, Caches: res.CacheStats, CPUs: res.CPUStats}
 	e.putTrace(app, run)
 	return run, nil
 }
@@ -368,7 +365,7 @@ func (e *Experiment) cachedTrace(app string, job int) *AppRun {
 		}
 	}
 	e.opts.Board.FinishCached(job)
-	return &AppRun{App: app, Trace: tr.Freeze(), Caches: sc.Caches, CPUs: sc.CPUs, addr: traceAddrBytes(traceBytes)}
+	return &AppRun{App: app, Trace: tr, Caches: sc.Caches, CPUs: sc.CPUs, addr: traceAddrBytes(traceBytes)}
 }
 
 // putTrace stores a freshly generated run in the result cache and memoizes

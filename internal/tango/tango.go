@@ -3,7 +3,10 @@
 // virtual-ISA thread per processor over a shared functional memory, models
 // per-processor coherent caches with a fixed miss penalty, services the
 // synchronization primitives (locks, barriers, events), and emits the
-// annotated dynamic instruction trace for a chosen processor.
+// annotated dynamic instruction trace for a chosen processor. A recorded
+// processor's events are filled in place in the fixed-size chunks of a
+// trace.Builder, so a growing trace is never copied; the builder hands over
+// an exactly sized trace when the run ends.
 //
 // The simulated processors are, as in the paper, "simple in-order issue
 // processors with blocking reads"; writes are placed in a write buffer and
@@ -330,8 +333,7 @@ type sim struct {
 	events   map[int64]*eventState
 	barriers map[int64]*barrierState
 
-	tr  *trace.Trace
-	trs []*trace.Trace // per-processor traces when RecordAll
+	rec []*trace.Builder // per-processor trace builders; nil for a processor not recorded
 
 	ready readyQueue // pending (readyAt, id) wakeups
 
@@ -385,26 +387,15 @@ func Run(progs []*asm.Program, memInit func(m *vm.PagedMem), cfg Config) (*Resul
 		s.wbHist = cfg.Metrics.HistogramBatch(cfg.MetricsPrefix+"writebuf.backlog_cycles",
 			0, 1, 2, 5, 10, 25, 50, 100, 250)
 	}
-	if cfg.TraceCPU >= 0 {
-		s.tr = &trace.Trace{
-			App:         progs[cfg.TraceCPU].Name,
-			CPU:         cfg.TraceCPU,
-			NumCPUs:     cfg.NumCPUs,
-			MissPenalty: caches.Config().MissPenalty,
-		}
-	}
-	if cfg.RecordAll {
-		s.trs = make([]*trace.Trace, cfg.NumCPUs)
-		for i := range s.trs {
-			s.trs[i] = &trace.Trace{
+	s.rec = make([]*trace.Builder, cfg.NumCPUs)
+	for i := range s.rec {
+		if cfg.RecordAll || i == cfg.TraceCPU {
+			s.rec[i] = trace.NewBuilder(trace.Meta{
 				App:         progs[i].Name,
 				CPU:         i,
 				NumCPUs:     cfg.NumCPUs,
 				MissPenalty: caches.Config().MissPenalty,
-			}
-		}
-		if cfg.TraceCPU >= 0 {
-			s.tr = s.trs[cfg.TraceCPU] // share storage for the primary trace
+			})
 		}
 	}
 	for i := 0; i < cfg.NumCPUs; i++ {
@@ -418,7 +409,22 @@ func Run(progs []*asm.Program, memInit func(m *vm.PagedMem), cfg Config) (*Resul
 		return nil, err
 	}
 
-	res := &Result{Trace: s.tr, Traces: s.trs, Cycles: 0}
+	res := &Result{}
+	if cfg.RecordAll {
+		res.Traces = make([]*trace.Trace, cfg.NumCPUs)
+	}
+	for i, b := range s.rec {
+		if b == nil {
+			continue
+		}
+		tr := b.Trace()
+		if cfg.RecordAll {
+			res.Traces[i] = tr
+		}
+		if i == cfg.TraceCPU {
+			res.Trace = tr // the same trace as Traces[i] under RecordAll
+		}
+	}
 	for i, p := range s.procs {
 		res.CacheStats = append(res.CacheStats, caches.Stats(i))
 		res.CPUStats = append(res.CPUStats, p.stats)
@@ -658,19 +664,23 @@ func (s *sim) machineState() string {
 	return b.String()
 }
 
-// record appends a trace event for p's trace (if recorded) and returns its
-// index, or -1.
-func (s *sim) record(p *proc, ev trace.Event) int {
-	if s.trs != nil {
-		t := s.trs[p.id]
-		t.Events = append(t.Events, ev)
-		return len(t.Events) - 1
-	}
-	if s.tr == nil || p.id != s.cfg.TraceCPU {
+// record adds the event for the instruction info describes, with its
+// annotations, to p's trace and returns its index, or -1 when p is not
+// recorded. The event is filled in place in the builder's chunk.
+func (s *sim) record(p *proc, info *vm.StepInfo, latency, wait uint32, miss bool) int {
+	b := s.rec[p.id]
+	if b == nil {
 		return -1
 	}
-	s.tr.Events = append(s.tr.Events, ev)
-	return len(s.tr.Events) - 1
+	i := b.Len()
+	e := b.Append()
+	e.PC = int32(info.PC)
+	e.Instr = info.Instr
+	e.Addr = info.Addr
+	e.Latency, e.Wait, e.Miss = latency, wait, miss
+	e.Taken = info.Taken
+	e.NextPC = int32(info.NextPC)
+	return i
 }
 
 // step executes one instruction on p, advancing its clock and possibly
@@ -683,31 +693,21 @@ func (s *sim) step(p *proc) (bool, error) {
 	}
 	p.stats.Instructions++
 
-	ev := trace.Event{
-		PC:     int32(info.PC),
-		Instr:  info.Instr,
-		Addr:   info.Addr,
-		Taken:  info.Taken,
-		NextPC: int32(info.NextPC),
-	}
-
 	switch isa.Classify(info.Instr.Op) {
 	case isa.ClassALU, isa.ClassBranch:
 		p.readyAt = t + 1
-		s.record(p, ev)
+		s.record(p, &info, 0, 0, false)
 
 	case isa.ClassLoad:
 		lat, miss := s.memRead(p.id, info.Addr, t)
-		ev.Latency, ev.Miss = lat, miss
 		p.readyAt = t + uint64(lat) // blocking read
 		if miss {
 			p.stats.ReadStall += uint64(lat - 1)
 		}
-		s.record(p, ev)
+		s.record(p, &info, lat, 0, miss)
 
 	case isa.ClassStore:
 		lat, miss := s.memWrite(p.id, info.Addr, t)
-		ev.Latency, ev.Miss = lat, miss
 		if p.writesDoneAt > t {
 			s.wbHist.Observe(p.writesDoneAt - t)
 		} else {
@@ -720,22 +720,22 @@ func (s *sim) step(p *proc) (bool, error) {
 			p.writesDoneAt = done
 		}
 		p.readyAt = t + 1
-		s.record(p, ev)
+		s.record(p, &info, lat, 0, miss)
 
 	case isa.ClassSync:
-		return false, s.stepSync(p, t, info, ev)
+		return false, s.stepSync(p, t, info)
 
 	case isa.ClassHalt:
 		p.halted = true
 		p.stats.FinishCycle = t
-		s.record(p, ev)
+		s.record(p, &info, 0, 0, false)
 		return true, nil
 	}
 	return false, nil
 }
 
 // stepSync handles the five synchronization opcodes.
-func (s *sim) stepSync(p *proc, t uint64, info vm.StepInfo, ev trace.Event) error {
+func (s *sim) stepSync(p *proc, t uint64, info vm.StepInfo) error {
 	switch info.Instr.Op {
 	case isa.OpLock:
 		l := s.locks[info.Addr]
@@ -747,28 +747,26 @@ func (s *sim) stepSync(p *proc, t uint64, info vm.StepInfo, ev trace.Event) erro
 			// Free now: acquire immediately. The transfer is a read-modify-
 			// write of the lock variable, modelled as an exclusive access.
 			lat, miss := s.memWrite(p.id, info.Addr, t)
-			ev.Latency, ev.Miss = lat, miss
 			l.held = true
 			p.readyAt = t + uint64(lat)
 			p.stats.SyncTransfer += uint64(lat)
-			s.record(p, ev)
+			s.record(p, &info, lat, 0, miss)
 			return nil
 		}
 		if !l.held { // free, but only at a future time (release in flight)
 			w := l.freeAt - t
 			lat, miss := s.memWrite(p.id, info.Addr, t)
-			ev.Latency, ev.Wait, ev.Miss = lat, uint32(w), miss
 			l.held = true
 			p.readyAt = l.freeAt + uint64(lat)
 			p.stats.SyncWait += w
 			p.stats.SyncTransfer += uint64(lat)
-			s.record(p, ev)
+			s.record(p, &info, lat, uint32(w), miss)
 			return nil
 		}
 		// Held: block until granted by an unlock.
 		p.blockedAt = t
 		p.readyAt = unblocked
-		p.pendingEv = s.record(p, ev)
+		p.pendingEv = s.record(p, &info, 0, 0, false)
 		l.waiters = append(l.waiters, p)
 		return nil
 
@@ -785,14 +783,13 @@ func (s *sim) stepSync(p *proc, t uint64, info vm.StepInfo, ev trace.Event) erro
 			p.stats.WriteDrain += freeAt - t
 		}
 		lat, miss := s.memWrite(p.id, info.Addr, t)
-		ev.Latency, ev.Miss = lat, miss
 		p.stats.SyncTransfer += uint64(lat)
 		freeAt += uint64(lat)
 		if freeAt > p.writesDoneAt {
 			p.writesDoneAt = freeAt
 		}
 		p.readyAt = t + 1
-		s.record(p, ev)
+		s.record(p, &info, lat, 0, miss)
 
 		if len(l.waiters) > 0 {
 			// Grant to the first waiter (FIFO).
@@ -833,7 +830,7 @@ func (s *sim) stepSync(p *proc, t uint64, info vm.StepInfo, ev trace.Event) erro
 		}
 		p.blockedAt = t
 		p.readyAt = unblocked
-		p.pendingEv = s.record(p, ev)
+		p.pendingEv = s.record(p, &info, 0, 0, false)
 		b.arrived = append(b.arrived, p)
 		if len(b.arrived) == s.cfg.NumCPUs {
 			depart := b.maxTime
@@ -860,11 +857,10 @@ func (s *sim) stepSync(p *proc, t uint64, info vm.StepInfo, ev trace.Event) erro
 			if e.setAt > t { // set-in-flight: value visible only at setAt
 				wait = e.setAt - t
 			}
-			ev.Latency, ev.Wait, ev.Miss = lat, uint32(wait), miss
 			p.readyAt = t + wait + uint64(lat)
 			p.stats.SyncWait += wait
 			p.stats.SyncTransfer += uint64(lat)
-			s.record(p, ev)
+			s.record(p, &info, lat, uint32(wait), miss)
 			return nil
 		}
 		if e == nil {
@@ -873,7 +869,7 @@ func (s *sim) stepSync(p *proc, t uint64, info vm.StepInfo, ev trace.Event) erro
 		}
 		p.blockedAt = t
 		p.readyAt = unblocked
-		p.pendingEv = s.record(p, ev)
+		p.pendingEv = s.record(p, &info, 0, 0, false)
 		e.waiters = append(e.waiters, p)
 		return nil
 
@@ -896,9 +892,8 @@ func (s *sim) stepSync(p *proc, t uint64, info vm.StepInfo, ev trace.Event) erro
 		if setAt > p.writesDoneAt {
 			p.writesDoneAt = setAt
 		}
-		ev.Latency, ev.Miss = lat, miss
 		p.readyAt = t + 1
-		s.record(p, ev)
+		s.record(p, &info, lat, 0, miss)
 		for _, w := range e.waiters {
 			rlat, rmiss := s.memRead(w.id, eventAddr(id), setAt)
 			wait := setAt - w.blockedAt
@@ -953,11 +948,7 @@ func (s *sim) patch(p *proc, latency, wait uint32, miss bool) {
 	if p.pendingEv < 0 {
 		return
 	}
-	t := s.tr
-	if s.trs != nil {
-		t = s.trs[p.id]
-	}
-	e := &t.Events[p.pendingEv]
+	e := s.rec[p.id].At(p.pendingEv)
 	e.Latency, e.Wait, e.Miss = latency, wait, miss
 	p.pendingEv = -1
 }

@@ -357,9 +357,14 @@ func TestRunawayGuard(t *testing.T) {
 	}
 }
 
+// TestRecordAllTraces checks every processor's recorded trace: each is
+// exactly sized and equals, event for event, the trace a run recording only
+// that processor produces. The traces are long enough to span more than one
+// chunk of the recording builder, and the lock makes blocked acquires whose
+// events are patched on wakeup.
 func TestRecordAllTraces(t *testing.T) {
 	const n = 4
-	prog := lockCounter(0x1000, 0x2000, 10)
+	prog := lockCounter(0x1000, 0x2000, 6000)
 	cfg := cfgN(n, 1)
 	cfg.RecordAll = true
 	res, err := Run(same(n, prog), nil, cfg)
@@ -381,6 +386,19 @@ func TestRecordAllTraces(t *testing.T) {
 		}
 		if uint64(tr.Len()) != res.CPUStats[i].Instructions {
 			t.Errorf("trace %d length %d != instructions %d", i, tr.Len(), res.CPUStats[i].Instructions)
+		}
+		if cap(tr.Events) != tr.Len() {
+			t.Errorf("trace %d: cap %d != len %d", i, cap(tr.Events), tr.Len())
+		}
+		one, err := Run(same(n, prog), nil, cfgN(n, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(one.Trace.Events) != one.Trace.Len() {
+			t.Errorf("TraceCPU %d: cap %d != len %d", i, cap(one.Trace.Events), one.Trace.Len())
+		}
+		if !reflect.DeepEqual(one.Trace, tr) {
+			t.Errorf("RecordAll trace %d differs from the TraceCPU=%d run's", i, i)
 		}
 	}
 	// The primary trace aliases the RecordAll entry for the traced CPU.

@@ -403,37 +403,6 @@ func inputSize(r io.Reader) (int64, bool) {
 	return 0, false
 }
 
-// eventCap converts the header's declared event count into a safe Events
-// preallocation. When the input size is known, the count is trusted only up
-// to the number of events the remaining bytes could minimally encode (2
-// bytes each), so a corrupted header claiming 2^34 events cannot allocate
-// hundreds of gigabytes before the short read is noticed. When the size is
-// unknown (a pipe, a network stream), the preallocation falls back to one
-// chunk and the slice grows as data actually arrives.
-func eventCap(count uint64, size int64, sized bool) int {
-	if sized {
-		return int(min(count, uint64(size)/2))
-	}
-	return int(min(count, chunkEvents))
-}
-
-// growEvents extends ev by n zeroed slots, doubling the backing array when
-// it must grow (the unsized-input fallback path; sized inputs preallocate
-// exactly once).
-func growEvents(ev []Event, n int) []Event {
-	need := len(ev) + n
-	if cap(ev) >= need {
-		return ev[:need]
-	}
-	newCap := 2 * cap(ev)
-	if newCap < need {
-		newCap = need
-	}
-	out := make([]Event, need, newCap)
-	copy(out, ev)
-	return out
-}
-
 // ReadTrace deserializes a trace written by WriteTo and validates it. Each
 // chunk's CRC is verified before its payload is decoded, so a corrupted
 // chunk is reported as a checksum failure, not as whatever garbage the
@@ -448,19 +417,49 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	t := &Trace{App: meta.App, CPU: meta.CPU, NumCPUs: meta.NumCPUs, MissPenalty: meta.MissPenalty}
-	t.Events = make([]Event, 0, eventCap(count, size, sized))
+	// Sized input decodes straight into one exactly sized Events slice. The
+	// header's count is trusted only up to the number of events the input
+	// could minimally encode (2 bytes each), so a corrupted header claiming
+	// 2^34 events cannot allocate hundreds of gigabytes before the short
+	// read is noticed. Input of unknown size (a pipe, a network stream)
+	// decodes each chunk into scratch and collects it in a Builder, which
+	// grows as data actually arrives and copies once at the end.
+	var b *Builder
+	var scratch []Event
+	if sized {
+		t.Events = make([]Event, 0, min(count, uint64(size)/2))
+	} else {
+		b, scratch = NewBuilder(meta), make([]Event, chunkEvents)
+	}
 	var buf []byte
 	for read := uint64(0); read < count; {
 		payload, nEvents, err := readChunk(br, &sum, &buf, read, count)
 		if err != nil {
 			return nil, err
 		}
-		n := len(t.Events)
-		t.Events = growEvents(t.Events, nEvents)
-		if err := decodeChunkV3(payload, t.Events[n:]); err != nil {
+		var dst []Event
+		if sized {
+			n := len(t.Events)
+			if nEvents > cap(t.Events)-n { // the input grew after it was sized
+				return nil, fmt.Errorf("trace: chunk at event %d runs past the input's %d bytes", read, size)
+			}
+			t.Events = t.Events[:n+nEvents]
+			dst = t.Events[n:]
+		} else {
+			dst = scratch[:nEvents]
+		}
+		if err := decodeChunkV3(payload, dst); err != nil {
 			return nil, fmt.Errorf("trace: chunk at event %d: %w", read, err)
 		}
+		if !sized {
+			for i := range dst {
+				*b.Append() = dst[i]
+			}
+		}
 		read += uint64(nEvents)
+	}
+	if !sized {
+		t = b.Trace()
 	}
 	if err := checkFooter(br, sum); err != nil {
 		return nil, err

@@ -57,6 +57,9 @@ type Trace struct {
 	NumCPUs     int    // processors in the generating simulation
 	MissPenalty uint32 // miss latency used during generation
 
+	// Events is exactly sized (len == cap) as tango and ReadTrace return
+	// it, so the harness keeps it as one shared arena that every
+	// experiment cell replays through a View.
 	Events []Event
 }
 
@@ -78,11 +81,10 @@ func (t *Trace) Meta() Meta {
 	return Meta{App: t.App, CPU: t.CPU, NumCPUs: t.NumCPUs, MissPenalty: t.MissPenalty}
 }
 
-// Freeze re-homes Events into an exactly-sized backing array, dropping the
-// append slack left over from generation, and returns t. The harness calls
-// it once per generated trace so the slice becomes a shared immutable
-// arena: every experiment cell replays a View of the same backing array
-// instead of each holding (or copying) an over-allocated one.
+// Freeze re-homes Events into an exactly sized backing array if it has
+// append slack, and returns t. Tango and ReadTrace already return exactly
+// sized Events, so for their traces it copies nothing; it is kept for
+// callers outside this module that still call it (perfbench's traced run).
 func (t *Trace) Freeze() *Trace {
 	if cap(t.Events) > len(t.Events) {
 		ev := make([]Event, len(t.Events))

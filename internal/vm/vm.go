@@ -59,6 +59,9 @@ func (m *PagedMem) Store(addr uint64, val uint64) {
 	id := w >> 12
 	p := m.pages[id]
 	if p == nil {
+		if m.pages == nil {
+			m.pages = make(map[uint64]*page)
+		}
 		p = new(page)
 		m.pages[id] = p
 	}

@@ -27,6 +27,20 @@ func TestPagedMemRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPagedMemZeroValue checks the documented promise that a zero PagedMem
+// is ready to use: loads read zero and stores create pages on demand.
+func TestPagedMemZeroValue(t *testing.T) {
+	var m PagedMem
+	if got := m.Load(64); got != 0 {
+		t.Errorf("zero-value load = %d, want 0", got)
+	}
+	m.Store(64, 7)
+	m.StoreF(1<<30, 2.5)
+	if m.Load(64) != 7 || m.LoadF(1<<30) != 2.5 || m.Load(72) != 0 {
+		t.Errorf("zero-value round trip: %d %v %d", m.Load(64), m.LoadF(1<<30), m.Load(72))
+	}
+}
+
 func TestPagedMemDistinctWords(t *testing.T) {
 	m := NewPagedMem()
 	m.Store(0, 1)

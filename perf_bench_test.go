@@ -22,6 +22,7 @@ import (
 	"os"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"dynsched/internal/apps"
 	"dynsched/internal/cache"
@@ -62,6 +63,10 @@ type perfBenchReport struct {
 	// where miss wakeups land past the ready queue's wheel span.
 	TangoMediumNsPerInstr  float64 `json:"tango_medium_ns_per_instr"`
 	TangoLat1000NsPerInstr float64 `json:"tango_lat1000_ns_per_instr"`
+	// Bytes allocated generating medium lu, per event of its recorded
+	// trace; a trace.Event is 48 bytes (TestTangoGenerationAllocs guards
+	// the ratio).
+	TangoMediumAllocBytesPerEvent float64 `json:"tango_medium_alloc_bytes_per_event"`
 
 	// Event-driven time skip: DS RC/W64 replay cost with skipping on
 	// (default) and forced off, at rising miss penalties. The skip arm
@@ -203,10 +208,14 @@ func BenchmarkPerf(b *testing.B) {
 		}
 		rep.Tango16Ns = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	})
-	tangoArm := func(name, app string, penalty uint32, slot *float64) {
+	// allocSlot, when non-nil, receives the bytes allocated per event of
+	// the recorded trace.
+	tangoArm := func(name, app string, penalty uint32, slot, allocSlot *float64) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			var instrs uint64
+			var instrs, events uint64
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
 			for i := 0; i < b.N; i++ {
 				opts := exp.DefaultOptions()
 				opts.Scale = apps.ScaleMedium
@@ -221,13 +230,19 @@ func BenchmarkPerf(b *testing.B) {
 				for _, c := range run.CPUs {
 					instrs += c.Instructions
 				}
+				events += uint64(run.Trace.Len())
 			}
+			runtime.ReadMemStats(&ms1)
 			*slot = float64(b.Elapsed().Nanoseconds()) / float64(instrs)
 			b.ReportMetric(*slot, "ns/instr")
+			if allocSlot != nil {
+				*allocSlot = float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(events)
+				b.ReportMetric(*allocSlot, "alloc-B/event")
+			}
 		})
 	}
-	tangoArm("TangoMedium", "lu", 0, &rep.TangoMediumNsPerInstr)
-	tangoArm("TangoLat1000", "ocean", 1000, &rep.TangoLat1000NsPerInstr)
+	tangoArm("TangoMedium", "lu", 0, &rep.TangoMediumNsPerInstr, &rep.TangoMediumAllocBytesPerEvent)
+	tangoArm("TangoLat1000", "ocean", 1000, &rep.TangoLat1000NsPerInstr, nil)
 
 	b.Run("CursorScan", func(b *testing.B) {
 		b.ReportAllocs()
@@ -399,6 +414,34 @@ func BenchmarkPerf(b *testing.B) {
 		if err := os.WriteFile("BENCH_perf.json", append(out, '\n'), 0o644); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestTangoGenerationAllocs is the allocation guard on trace recording:
+// generating medium lu (application construction, the 16-processor tango
+// run and the recorded trace) must allocate at most 3x the bytes of the
+// trace's own events. Growing Events by append and then trimming the slack
+// with a copy cost 6.2x; recording into fixed chunks with one exactly sized
+// copy at the end costs about 2.4x.
+func TestTangoGenerationAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("medium-scale generation is slow at -short")
+	}
+	opts := exp.DefaultOptions()
+	opts.Scale = apps.ScaleMedium
+	opts.Apps = []string{"lu"}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	run, err := exp.New(opts).Run("lu")
+	runtime.ReadMemStats(&ms1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eventBytes := float64(run.Trace.Len()) * float64(unsafe.Sizeof(trace.Event{}))
+	ratio := float64(ms1.TotalAlloc-ms0.TotalAlloc) / eventBytes
+	t.Logf("medium lu: %d events, %.1f MB of events, allocated %.2fx that", run.Trace.Len(), eventBytes/1e6, ratio)
+	if ratio > 3 {
+		t.Errorf("generating medium lu allocated %.2fx its event bytes, want <= 3", ratio)
 	}
 }
 
