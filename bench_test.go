@@ -266,7 +266,7 @@ func BenchmarkHighLatencySweep(b *testing.B) {
 				b.ReportAllocs()
 				cfg := cpu.Config{Model: consistency.RC, Window: 64, NoTimeSkip: mode.noskip}
 				for i := 0; i < b.N; i++ {
-					if _, err := cpu.RunDS(run.Trace, cfg); err != nil {
+					if _, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(run.Trace), cfg); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -285,33 +285,21 @@ func BenchmarkProcessorModels(b *testing.B) {
 		b.Fatal(err)
 	}
 	tr := run.Trace
-	b.Run("BASE", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cpu.RunBase(tr)
-		}
-	})
-	b.Run("SSBR", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := cpu.RunSSBR(tr, cpu.Config{Model: consistency.RC}); err != nil {
-				b.Fatal(err)
+	for _, arch := range []cpu.Arch{cpu.ArchBase, cpu.ArchSSBR, cpu.ArchSS} {
+		b.Run(string(arch), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := cpu.Replay(arch, cpu.TraceSource(tr), cpu.Config{Model: consistency.RC}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("SS", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := cpu.RunSS(tr, cpu.Config{Model: consistency.RC}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 	for _, w := range exp.Windows {
 		b.Run(fmt.Sprintf("DS-%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := cpu.RunDS(tr, cpu.Config{Model: consistency.RC, Window: w}); err != nil {
+				if _, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(tr), cpu.Config{Model: consistency.RC, Window: w}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -596,7 +596,7 @@ func finishObs(e *exp.Experiment, metricsOut, pipeOut, memProfile string) error 
 		tracer := obs.NewPipeTracer(0)
 		cfg := cpu.Config{Model: consistency.RC, Window: 64, Pipe: tracer}
 		cfg.Metrics, cfg.MetricsPrefix = metricsReg, "cpu."+app+".RC-DS64."
-		if _, err := cpu.RunDS(run.Trace, cfg); err != nil {
+		if _, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(run.Trace), cfg); err != nil {
 			return err
 		}
 		if err := obs.WritePipeTraceFile(tracer, pipeOut); err != nil {

@@ -223,7 +223,7 @@ func info(args []string) error {
 
 func replay(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
-	arch := fs.String("arch", "DS", "processor model: BASE, SSBR, SS, DS")
+	archName := fs.String("arch", "DS", "processor model: BASE, SSBR, SS, DS")
 	modelName := fs.String("model", "RC", "consistency model: SC, PC, WO, RC")
 	window := fs.Int("window", 64, "DS lookahead window size")
 	width := fs.Int("width", 1, "decode/issue width")
@@ -247,27 +247,39 @@ func replay(args []string) error {
 	if *width < 1 {
 		return fmt.Errorf("replay: -width must be >= 1, got %d", *width)
 	}
-	if *arch == "BASE" && *pipeOut != "" {
+	arch, err := cpu.ParseArch(*archName)
+	if err != nil {
+		return err
+	}
+	model, err := consistency.ParseModel(*modelName)
+	if err != nil {
+		return err
+	}
+	if arch == cpu.ArchBase && *pipeOut != "" {
 		return fmt.Errorf("replay: -pipe-trace-out needs a pipelined model, and -arch BASE has no pipeline")
 	}
 	path := fs.Arg(0)
 	// The replay streams the file through a cursor; only a DS window beyond
 	// the cursor's pointer-retention lookback needs the whole trace in
 	// memory, and falls back to the materializing reader.
-	materialize := *arch == "DS" && *window > trace.CursorLookback
-	cur, closeCur, err := openCursor(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if closeCur != nil {
-			closeCur()
+	var (
+		src   cpu.Source
+		app   string
+		count int
+	)
+	if arch == cpu.ArchDS && *window > trace.CursorLookback {
+		tr, err := load(path)
+		if err != nil {
+			return err
 		}
-	}()
-	meta, count := cur.Meta(), cur.Len()
-	model, err := consistency.ParseModel(*modelName)
-	if err != nil {
-		return err
+		src, app, count = cpu.TraceSource(tr), tr.App, tr.Len()
+	} else {
+		cur, closeCur, err := openCursor(path)
+		if err != nil {
+			return err
+		}
+		defer closeCur()
+		src, app, count = cpu.CursorSource(cur), cur.Meta().App, cur.Len()
 	}
 	cfg := cpu.Config{
 		Model: model, Window: *window, IssueWidth: *width,
@@ -287,7 +299,7 @@ func replay(args []string) error {
 	if *metricsOut != "" {
 		reg = obs.NewRegistry()
 		cfg.Metrics = reg
-		cfg.MetricsPrefix = fmt.Sprintf("cpu.%s.%s-%s%d.", meta.App, model, *arch, *window)
+		cfg.MetricsPrefix = fmt.Sprintf("cpu.%s.%s-%s%d.", app, model, arch, *window)
 	}
 	var tracer *obs.PipeTracer
 	if *pipeOut != "" {
@@ -298,38 +310,13 @@ func replay(args []string) error {
 		pr := obs.NewProgress(os.Stderr, time.Second)
 		pr.Start()
 		defer pr.Stop()
-		lane := pr.Lane(meta.App)
+		lane := pr.Lane(app)
 		lane.SetTotal(uint64(count))
 		cfg.Progress = lane
 	}
-	var res cpu.Result
-	if materialize {
-		closeCur()
-		closeCur = nil
-		tr, err := load(path)
-		if err != nil {
-			return err
-		}
-		res, err = cpu.RunDS(tr, cfg)
-		if err != nil {
-			return err
-		}
-	} else {
-		switch *arch {
-		case "BASE":
-			res, err = cpu.RunBaseStream(cur, cfg)
-		case "SSBR":
-			res, err = cpu.RunSSBRStream(cur, cfg)
-		case "SS":
-			res, err = cpu.RunSSStream(cur, cfg)
-		case "DS":
-			res, err = cpu.RunDSStream(cur, cfg)
-		default:
-			return fmt.Errorf("unknown architecture %q", *arch)
-		}
-		if err != nil {
-			return err
-		}
+	res, err := cpu.Replay(arch, src, cfg)
+	if err != nil {
+		return err
 	}
 	if *pipeOut != "" {
 		if err := obs.WritePipeTraceFile(tracer, *pipeOut); err != nil {
@@ -352,12 +339,12 @@ func replay(args []string) error {
 		return err
 	}
 	defer closeBase()
-	base, err := cpu.RunBaseStream(bc, cpu.Config{})
+	base, err := cpu.Replay(cpu.ArchBase, cpu.CursorSource(bc), cpu.Config{})
 	if err != nil {
 		return err
 	}
 	b := res.Breakdown
-	fmt.Printf("%s under %s (window %d, width %d): %v\n", *arch, model, *window, *width, b)
+	fmt.Printf("%s under %s (window %d, width %d): %v\n", arch, model, *window, *width, b)
 	fmt.Printf("normalized to BASE: %.1f%%   CPI: %.2f   mispredicts: %d   prefetches: %d\n",
 		100*float64(b.Total())/float64(base.Breakdown.Total()), res.CPI(),
 		res.Mispredicts, res.Prefetches)

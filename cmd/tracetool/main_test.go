@@ -58,6 +58,21 @@ func TestToolErrors(t *testing.T) {
 	if err := run([]string{"replay", "-model", "XX", file}); err == nil {
 		t.Error("unknown model accepted")
 	}
+	// A bad -arch or -model is refused before the replay opens its input or
+	// starts a profile.
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-arch", "bogus", `unknown architecture "bogus"`},
+		{"-model", "XX", `unknown model "XX"`},
+	} {
+		prof := filepath.Join(dir, tc.value+".prof")
+		err := run([]string{"replay", tc.flag, tc.value, "-cpuprofile", prof, file})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("replay %s %s: err = %v, want it to contain %s", tc.flag, tc.value, err, tc.want)
+		}
+		if _, err := os.Stat(prof); err == nil {
+			t.Errorf("replay %s %s wrote a CPU profile before failing", tc.flag, tc.value)
+		}
+	}
 
 	// Flag values that used to be rewritten silently (or panic) are usage
 	// errors naming the offending flags.

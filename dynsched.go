@@ -71,14 +71,14 @@ const (
 type Model = consistency.Model
 
 // Arch selects a processor timing model (§4.1).
-type Arch string
+type Arch = cpu.Arch
 
 // The four processor architectures of Figure 3.
 const (
-	ArchBase Arch = "BASE" // fully serial in-order execution
-	ArchSSBR Arch = "SSBR" // static scheduling, blocking reads, write buffer
-	ArchSS   Arch = "SS"   // static scheduling, non-blocking reads
-	ArchDS   Arch = "DS"   // dynamically scheduled (reorder buffer, renaming, BTB)
+	ArchBase = cpu.ArchBase // fully serial in-order execution
+	ArchSSBR = cpu.ArchSSBR // static scheduling, blocking reads, write buffer
+	ArchSS   = cpu.ArchSS   // static scheduling, non-blocking reads
+	ArchDS   = cpu.ArchDS   // dynamically scheduled (reorder buffer, renaming, BTB)
 )
 
 // Breakdown is an execution-time decomposition in cycles (Figure 3's bar
@@ -305,19 +305,7 @@ func Run(tr *Trace, pc ProcessorConfig) (Result, error) {
 	if pc.PerfectBranches {
 		cfg.Predictor = bpred.Perfect{}
 	}
-	switch arch {
-	case ArchBase:
-		res := cpu.RunBase(tr)
-		cpu.PublishResult(pc.Observe.Metrics, pc.Observe.MetricsPrefix, res)
-		return res, nil
-	case ArchSSBR:
-		return cpu.RunSSBR(tr, cfg)
-	case ArchSS:
-		return cpu.RunSS(tr, cfg)
-	case ArchDS:
-		return cpu.RunDS(tr, cfg)
-	}
-	return Result{}, fmt.Errorf("dynsched: unknown architecture %q", pc.Arch)
+	return cpu.Replay(arch, cpu.TraceSource(tr), cfg)
 }
 
 // RunProcessor is Run for configurations that cannot fail (BASE); it panics

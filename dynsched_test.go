@@ -78,6 +78,59 @@ func TestRunUnknownArch(t *testing.T) {
 	}
 }
 
+// TestRunRejectsInvalidConfig pins that every architecture, BASE included,
+// rejects the same out-of-range configuration.
+func TestRunRejectsInvalidConfig(t *testing.T) {
+	run := smallTrace(t, "lu")
+	for _, arch := range []Arch{ArchBase, ArchSSBR, ArchSS, ArchDS} {
+		_, err := Run(run.Trace, ProcessorConfig{Arch: arch, Window: -3, IssueWidth: -1})
+		if err == nil || !strings.Contains(err.Error(), "window -3 out of range") {
+			t.Errorf("%s: err = %v, want the window rejected", arch, err)
+		}
+	}
+}
+
+// TestRunBaseMetrics pins the metrics a BASE replay publishes through the
+// facade: the aggregate counters and the cpi/mcpi gauges under the
+// caller's prefix, and nothing else.
+func TestRunBaseMetrics(t *testing.T) {
+	run := smallTrace(t, "lu")
+	reg := NewMetrics()
+	res, err := Run(run.Trace, ProcessorConfig{Arch: ArchBase, Observe: Observe{Metrics: reg, MetricsPrefix: "cpu.lu.BASE."}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, n := res.Breakdown, res.Instructions
+	if n != uint64(run.Trace.Len()) || b.Total() == 0 {
+		t.Fatalf("BASE replayed %d instructions in %d cycles", n, b.Total())
+	}
+	wantCounters := map[string]uint64{
+		"cycles.total": b.Total(), "cycles.busy": b.Busy,
+		"stall.sync": b.Sync, "stall.read": b.Read, "stall.write": b.Write,
+		"stall.branch": b.Branch, "stall.other": b.Other,
+		"instructions": n, "branch.mispredicts": 0, "prefetches": 0,
+	}
+	wantGauges := map[string]float64{
+		"cpi":  float64(b.Total()) / float64(n),
+		"mcpi": float64(b.Read+b.Write) / float64(n),
+	}
+	snap := reg.Snapshot()
+	if len(snap.Counters) != len(wantCounters) || len(snap.Gauges) != len(wantGauges) || len(snap.Histograms) != 0 {
+		t.Errorf("BASE published %d counters, %d gauges, %d histograms; want %d, %d, 0:\n%+v",
+			len(snap.Counters), len(snap.Gauges), len(snap.Histograms), len(wantCounters), len(wantGauges), snap)
+	}
+	for name, want := range wantCounters {
+		if got, ok := snap.Counters["cpu.lu.BASE."+name]; !ok || got != want {
+			t.Errorf("counter %s = %d (present %v), want %d", name, got, ok, want)
+		}
+	}
+	for name, want := range wantGauges {
+		if got, ok := snap.Gauges["cpu.lu.BASE."+name]; !ok || got != want {
+			t.Errorf("gauge %s = %v (present %v), want %v", name, got, ok, want)
+		}
+	}
+}
+
 func TestRunEmptyArchDefaultsToBase(t *testing.T) {
 	run := smallTrace(t, "lu")
 	a, err := Run(run.Trace, ProcessorConfig{})

@@ -36,7 +36,10 @@ func main() {
 	}
 	tr := res.Trace
 
-	base := cpu.RunBase(tr)
+	base, err := cpu.Replay(cpu.ArchBase, cpu.TraceSource(tr), cpu.Config{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	norm := func(total uint64) float64 {
 		return 100 * float64(total) / float64(base.Breakdown.Total())
 	}
@@ -44,7 +47,7 @@ func main() {
 	fmt.Printf("%-34s %7.1f%%\n", "BASE (no overlap)", 100.0)
 
 	show := func(name string, c cpu.Config) {
-		r, err := cpu.RunDS(tr, c)
+		r, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(tr), c)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,12 +60,12 @@ func main() {
 	show("RC, W=64, perfect branches", cpu.Config{Model: consistency.RC, Window: 64, Predictor: bpred.Perfect{}})
 
 	// Compiler rescheduling on the simple SS processor.
-	ssPlain, err := cpu.RunSS(tr, cpu.Config{Model: consistency.RC})
+	ssPlain, err := cpu.Replay(cpu.ArchSS, cpu.TraceSource(tr), cpu.Config{Model: consistency.RC})
 	if err != nil {
 		log.Fatal(err)
 	}
 	moved, st := resched.RescheduleLevel(tr, 64, resched.Aggressive)
-	ssSched, err := cpu.RunSS(moved, cpu.Config{Model: consistency.RC})
+	ssSched, err := cpu.Replay(cpu.ArchSS, cpu.TraceSource(moved), cpu.Config{Model: consistency.RC})
 	if err != nil {
 		log.Fatal(err)
 	}

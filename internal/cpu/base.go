@@ -3,38 +3,23 @@ package cpu
 import (
 	"dynsched/internal/critpath"
 	"dynsched/internal/isa"
-	"dynsched/internal/obs"
-	"dynsched/internal/trace"
 )
 
-// RunBase replays tr through the BASE processor of Figure 3: an in-order
+// runBase replays src through the BASE processor of Figure 3: an in-order
 // machine "which completes each operation before initiating the next one
 // (i.e., no overlap in execution of instructions and memory operations)".
 //
 // Every instruction costs one busy cycle; memory operations add their full
 // transfer latency minus the overlapping execute cycle; synchronization
 // operations add their wait and transfer components. The consistency model
-// is irrelevant for BASE because nothing overlaps anyway.
-func RunBase(tr *trace.Trace) Result {
-	return RunBaseObs(tr, nil, nil)
-}
-
-// RunBaseObs is RunBase with critical-path attribution and interval
-// timeline sampling. With BASE nothing overlaps, so the attribution is
-// exact: every stall cycle's cause is the instruction's own memory or
-// synchronization latency, and so is its last-arriving edge (busy when it
-// added no stall). BASE charges each instruction's cycles in one step, so
-// the timeline snapshots a boundary inside that stretch at its exact cycle.
-func RunBaseObs(tr *trace.Trace, cp *critpath.Collector, tl *obs.Timeline) Result {
-	src := sliceSource(tr)
-	res, _ := runBase(&src, Config{CritPath: cp, Timeline: tl}) // the materialized arm cannot fail
-	return res
-}
-
-// runBase is the BASE replay core over an eventSource; the streaming arm
-// can surface a decode or integrity error from the cursor. Of cfg it reads
-// only the observability hooks: metrics, critical path and timeline.
-func runBase(src *eventSource, cfg Config) (Result, error) {
+// is irrelevant for BASE because nothing overlaps anyway, so of cfg it
+// reads only the observability hooks: metrics, critical path and timeline.
+// With nothing overlapping the attribution is exact: every stall cycle's
+// cause is the instruction's own memory or synchronization latency, and so
+// is its last-arriving edge (busy when it added no stall). BASE charges each
+// instruction's cycles in one step, so the timeline snapshots a boundary
+// inside that stretch at its exact cycle.
+func runBase(src *Source, cfg Config) (Result, error) {
 	acct := newAccount(&cfg)
 	for i := 0; i < src.n; i++ {
 		e, err := src.fetch()

@@ -134,8 +134,9 @@ func (r Result) CPI() float64 {
 	return float64(r.Breakdown.Total()) / float64(r.Instructions)
 }
 
-// Config parameterizes the processor models. The zero value is completed by
-// fillDefaults; use one of the constructor helpers for the paper's machines.
+// Config parameterizes the processor models. Replay completes its zero
+// fields with the paper's machine: window 64, issue width 1 and 16-entry
+// buffers.
 type Config struct {
 	Model consistency.Model
 

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -10,6 +11,22 @@ import (
 	"dynsched/internal/isa"
 	"dynsched/internal/trace"
 )
+
+// replay runs tr through arch: Replay over a materialized trace.
+func replay(arch Arch, tr *trace.Trace, cfg Config) (Result, error) {
+	return Replay(arch, TraceSource(tr), cfg)
+}
+
+// replayBase is the BASE replay of tr with every hook off. The zero Config
+// is valid and a materialized trace cannot fail to decode, so it has no
+// error to return.
+func replayBase(tr *trace.Trace) Result {
+	res, err := replay(ArchBase, tr, Config{})
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
 
 // tb builds synthetic annotated traces for the processor models.
 type tb struct {
@@ -93,7 +110,7 @@ func TestBaseSerial(t *testing.T) {
 		lock(256, 30, 50).
 		unlock(256, 1).
 		halt()
-	r := RunBase(tr)
+	r := replayBase(tr)
 	// busy = 6 instructions; read = 49; write = 49 (+0 for unlock hit);
 	// sync = 30 + 50 - 1 = 79.
 	if r.Breakdown.Busy != 6 {
@@ -127,11 +144,11 @@ func TestSSBRWriteLatencyByModel(t *testing.T) {
 		}
 		return b.halt()
 	}
-	sc, err := RunSSBR(mk(), Config{Model: consistency.SC})
+	sc, err := replay(ArchSSBR, mk(), Config{Model: consistency.SC})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := RunSSBR(mk(), Config{Model: consistency.RC})
+	rc, err := replay(ArchSSBR, mk(), Config{Model: consistency.RC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +185,11 @@ func TestWriteBurstPCvsRC(t *testing.T) {
 		}
 		return b.halt()
 	}
-	pc, err := RunSSBR(mk(), Config{Model: consistency.PC})
+	pc, err := replay(ArchSSBR, mk(), Config{Model: consistency.PC})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := RunSSBR(mk(), Config{Model: consistency.RC})
+	rc, err := replay(ArchSSBR, mk(), Config{Model: consistency.RC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,15 +215,15 @@ func TestSSFirstUseStall(t *testing.T) {
 		b.alu(5, 2, 2) // first use of the load value
 		return b.halt()
 	}
-	near, err := RunSS(mk(2), Config{Model: consistency.RC})
+	near, err := replay(ArchSS, mk(2), Config{Model: consistency.RC})
 	if err != nil {
 		t.Fatal(err)
 	}
-	far, err := RunSS(mk(40), Config{Model: consistency.RC})
+	far, err := replay(ArchSS, mk(40), Config{Model: consistency.RC})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocking, err := RunSSBR(mk(2), Config{Model: consistency.RC})
+	blocking, err := replay(ArchSSBR, mk(2), Config{Model: consistency.RC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +253,7 @@ func TestDSHidesIndependentReadMiss(t *testing.T) {
 		b.alu(5, 2, 2)
 		return b.halt()
 	}
-	r, err := RunDS(mk(), cfg(consistency.RC, 128))
+	r, err := replay(ArchDS, mk(), cfg(consistency.RC, 128))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +278,11 @@ func TestDSWindowSizeLimitsOverlap(t *testing.T) {
 		}
 		return b.halt()
 	}
-	small, err := RunDS(mk(), cfg(consistency.RC, 16))
+	small, err := replay(ArchDS, mk(), cfg(consistency.RC, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := RunDS(mk(), cfg(consistency.RC, 128))
+	large, err := replay(ArchDS, mk(), cfg(consistency.RC, 128))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +305,11 @@ func TestDSSCSerializesReads(t *testing.T) {
 		}
 		return b.halt()
 	}
-	sc, err := RunDS(mk(), cfg(consistency.SC, 256))
+	sc, err := replay(ArchDS, mk(), cfg(consistency.SC, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := RunDS(mk(), cfg(consistency.RC, 256))
+	rc, err := replay(ArchDS, mk(), cfg(consistency.RC, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +333,7 @@ func TestDSDependentMissChain(t *testing.T) {
 		}
 		return b.halt()
 	}
-	r, err := RunDS(mk(), cfg(consistency.RC, 256))
+	r, err := replay(ArchDS, mk(), cfg(consistency.RC, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +343,7 @@ func TestDSDependentMissChain(t *testing.T) {
 	// Ignoring data dependences (Figure 4, right side) removes the chain.
 	c := cfg(consistency.RC, 256)
 	c.IgnoreDataDeps = true
-	free, err := RunDS(mk(), c)
+	free, err := replay(ArchDS, mk(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,13 +367,13 @@ func TestDSMispredictBlocksLookahead(t *testing.T) {
 		}
 		return b.halt()
 	}
-	perfect, err := RunDS(mk(), cfg(consistency.RC, 128))
+	perfect, err := replay(ArchDS, mk(), cfg(consistency.RC, 128))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := cfg(consistency.RC, 128)
 	c.Predictor = bpred.StaticTaken{} // every branch in mk() is not-taken → all mispredict
-	bad, err := RunDS(mk(), c)
+	bad, err := replay(ArchDS, mk(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,11 +408,11 @@ func TestDSAcquireWaitUnhideable(t *testing.T) {
 		b.unlock(256, 1)
 		return b.halt()
 	}
-	noWait, err := RunDS(mk(0), cfg(consistency.RC, 128))
+	noWait, err := replay(ArchDS, mk(0), cfg(consistency.RC, 128))
 	if err != nil {
 		t.Fatal(err)
 	}
-	withWait, err := RunDS(mk(200), cfg(consistency.RC, 128))
+	withWait, err := replay(ArchDS, mk(200), cfg(consistency.RC, 128))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +424,7 @@ func TestDSAcquireWaitUnhideable(t *testing.T) {
 	if withWait.Breakdown.Sync < 195 {
 		t.Errorf("contention wait W=200 must be unhideable; sync = %d", withWait.Breakdown.Sync)
 	}
-	ssbr, err := RunSSBR(mk(0), Config{Model: consistency.RC})
+	ssbr, err := replay(ArchSSBR, mk(0), Config{Model: consistency.RC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +443,7 @@ func TestDSStoreForwarding(t *testing.T) {
 		b.tr.Events[1].Latency = 50 // the load would miss in the cache
 		return b.halt()
 	}
-	rc, err := RunDS(mk(), cfg(consistency.RC, 64))
+	rc, err := replay(ArchDS, mk(), cfg(consistency.RC, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,12 +465,12 @@ func TestDSStoreBufferBackpressure(t *testing.T) {
 	}
 	c := cfg(consistency.RC, 64)
 	c.StoreBufDepth = 2
-	small, err := RunDS(mk(), c)
+	small, err := replay(ArchDS, mk(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.StoreBufDepth = 64
-	big, err := RunDS(mk(), c)
+	big, err := replay(ArchDS, mk(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,12 +492,12 @@ func TestDSMSHRLimit(t *testing.T) {
 	}
 	c := cfg(consistency.RC, 256)
 	c.MSHRs = 1
-	one, err := RunDS(mk(), c)
+	one, err := replay(ArchDS, mk(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.MSHRs = 0 // unlimited
-	unl, err := RunDS(mk(), c)
+	unl, err := replay(ArchDS, mk(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,13 +517,13 @@ func TestDSMultiIssue(t *testing.T) {
 		return b.halt()
 	}
 	c1 := cfg(consistency.RC, 128)
-	r1, err := RunDS(mk(), c1)
+	r1, err := replay(ArchDS, mk(), c1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c4 := cfg(consistency.RC, 128)
 	c4.IssueWidth = 4
-	r4, err := RunDS(mk(), c4)
+	r4, err := replay(ArchDS, mk(), c4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,7 +538,7 @@ func TestDSReadMissDelayHistogram(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		chain.load(2, 2, uint64(i)*64, true)
 	}
-	r, err := RunDS(chain.halt(), cfg(consistency.RC, 64))
+	r, err := replay(ArchDS, chain.halt(), cfg(consistency.RC, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +554,7 @@ func TestDSReadMissDelayHistogram(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		indep.load(2, 1, uint64(i)*64, true)
 	}
-	r2, err := RunDS(indep.halt(), cfg(consistency.RC, 64))
+	r2, err := replay(ArchDS, indep.halt(), cfg(consistency.RC, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,8 +574,8 @@ func TestDSSanityBounds(t *testing.T) {
 		b.store(1, 3, uint64(i%4)*4096+8, false)
 	}
 	tr := b.halt()
-	base := RunBase(tr)
-	ds, err := RunDS(tr, cfg(consistency.RC, 64))
+	base := replayBase(tr)
+	ds, err := replay(ArchDS, tr, cfg(consistency.RC, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,17 +589,72 @@ func TestDSSanityBounds(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	tr := newTB().alu(1, 0, 0).halt()
-	if _, err := RunDS(tr, Config{Window: -1}); err == nil {
+	if _, err := replay(ArchDS, tr, Config{Window: -1}); err == nil {
 		t.Error("negative window accepted")
 	}
-	if _, err := RunDS(tr, Config{Window: MaxWindow + 1}); err == nil || !strings.Contains(err.Error(), fmt.Sprint("window ", MaxWindow+1)) {
+	if _, err := replay(ArchDS, tr, Config{Window: MaxWindow + 1}); err == nil || !strings.Contains(err.Error(), fmt.Sprint("window ", MaxWindow+1)) {
 		t.Errorf("window above MaxWindow: err = %v, want a rejection naming the window", err)
 	}
 	// The bound itself is accepted (checked on a model with no ring).
-	if _, err := RunSSBR(tr, Config{Window: MaxWindow}); err != nil {
+	if _, err := replay(ArchSSBR, tr, Config{Window: MaxWindow}); err != nil {
 		t.Errorf("window MaxWindow rejected: %v", err)
 	}
-	if _, err := RunSSBR(tr, Config{WriteBufDepth: -1}); err == nil {
+	if _, err := replay(ArchSSBR, tr, Config{WriteBufDepth: -1}); err == nil {
 		t.Error("negative write buffer accepted")
+	}
+}
+
+// TestReplayRejectsInvalidConfig pins that Replay validates the completed
+// Config once for every architecture and source kind: BASE, which reads
+// only the observability hooks, rejects exactly what SSBR, SS and DS
+// reject, with the same error.
+func TestReplayRejectsInvalidConfig(t *testing.T) {
+	tr := newTB().alu(1, 0, 0).halt()
+	var raw bytes.Buffer
+	if _, err := tr.WriteTo(&raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"window", Config{Window: -3, IssueWidth: -1}, "cpu: window -3 out of range"},
+		{"huge window", Config{Window: MaxWindow + 1}, fmt.Sprintf("cpu: window %d out of range", MaxWindow+1)},
+		{"width", Config{IssueWidth: -1}, "cpu: issue width -1 < 1"},
+		{"write buffer", Config{WriteBufDepth: -1}, "cpu: buffer depths must be >= 1"},
+		{"read buffer", Config{ReadBufDepth: -2}, "cpu: buffer depths must be >= 1"},
+		{"store buffer", Config{StoreBufDepth: -4}, "cpu: buffer depths must be >= 1"},
+	} {
+		for _, arch := range Archs {
+			cur, err := trace.NewCursor(bytes.NewReader(raw.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, src := range []Source{TraceSource(tr), CursorSource(cur)} {
+				_, err := Replay(arch, src, tc.cfg)
+				if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+					t.Errorf("%s/%s (cursor %v): err = %v, want %q", arch, tc.name, src.cur != nil, err, tc.want)
+				}
+			}
+		}
+	}
+	if _, err := Replay("QUANTUM", TraceSource(tr), Config{}); err == nil || !strings.Contains(err.Error(), `unknown architecture "QUANTUM"`) {
+		t.Errorf("unknown architecture: err = %v", err)
+	}
+}
+
+// TestParseArch pins that ParseArch accepts exactly the four names, like
+// consistency.ParseModel.
+func TestParseArch(t *testing.T) {
+	for _, a := range Archs {
+		if got, err := ParseArch(string(a)); err != nil || got != a {
+			t.Errorf("ParseArch(%q) = %q, %v", a, got, err)
+		}
+	}
+	for _, s := range []string{"", "ds", "Base", " DS", "DS ", "SSB", "QUANTUM"} {
+		if a, err := ParseArch(s); err == nil {
+			t.Errorf("ParseArch(%q) = %q, want an error", s, a)
+		}
 	}
 }

@@ -79,26 +79,11 @@ func critpathTraces() map[string]*trace.Trace {
 }
 
 // runWithCollector replays tr through arch with a fresh collector attached.
-func runWithCollector(t *testing.T, tr *trace.Trace, arch string, cfg Config) (Result, critpath.Attribution) {
+func runWithCollector(t *testing.T, tr *trace.Trace, arch Arch, cfg Config) (Result, critpath.Attribution) {
 	t.Helper()
 	cp := critpath.NewCollector()
 	cfg.CritPath = cp
-	var (
-		res Result
-		err error
-	)
-	switch arch {
-	case "BASE":
-		res = RunBaseObs(tr, cp, nil)
-	case "SSBR":
-		res, err = RunSSBR(tr, cfg)
-	case "SS":
-		res, err = RunSS(tr, cfg)
-	case "DS":
-		res, err = RunDS(tr, cfg)
-	default:
-		t.Fatalf("unknown arch %q", arch)
-	}
+	res, err := replay(arch, tr, cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", arch, err)
 	}
@@ -112,7 +97,7 @@ func runWithCollector(t *testing.T, tr *trace.Trace, arch string, cfg Config) (R
 // not perturb the simulation result.
 func TestCritPathConservation(t *testing.T) {
 	type arch struct {
-		name string
+		name Arch
 		cfg  Config
 	}
 	archs := []arch{
@@ -155,20 +140,7 @@ func TestCritPathConservation(t *testing.T) {
 					// must equal the result without it.
 					bare := cfg
 					bare.CritPath = nil
-					var (
-						res2 Result
-						err  error
-					)
-					switch a.name {
-					case "BASE":
-						res2 = RunBase(tr)
-					case "SSBR":
-						res2, err = RunSSBR(tr, bare)
-					case "SS":
-						res2, err = RunSS(tr, bare)
-					case "DS":
-						res2, err = RunDS(tr, bare)
-					}
+					res2, err := replay(a.name, tr, bare)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -189,7 +161,7 @@ func TestCritPathSkipEquivalence(t *testing.T) {
 	for trName, tr := range critpathTraces() {
 		for _, m := range []consistency.Model{consistency.SC, consistency.RC} {
 			for _, a := range []struct {
-				name string
+				name Arch
 				cfg  Config
 			}{
 				{"SSBR", Config{}},

@@ -163,21 +163,11 @@ func (h *seqHeap) pop() int {
 
 const maxDSCycles = uint64(1) << 40
 
-// RunDS replays tr through the dynamically scheduled processor.
-func RunDS(tr *trace.Trace, cfg Config) (Result, error) {
-	src := sliceSource(tr)
-	return runDS(&src, cfg)
-}
-
-// runDS is the DS replay core, fed by an eventSource so the same loop
+// runDS is the DS replay core, fed by a Source so the same loop
 // serves materialized traces and streaming cursors. Reorder-buffer entries
-// hold *trace.Event pointers for at most Window fetches, which the
-// streaming entry point bounds by trace.CursorLookback.
-func runDS(src *eventSource, cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return Result{}, err
-	}
+// hold *trace.Event pointers for at most Window fetches, which Replay
+// bounds by trace.CursorLookback over a cursor.
+func runDS(src *Source, cfg Config) (Result, error) {
 	pred := cfg.Predictor
 	if pred == nil {
 		pred = bpred.NewPaperBTB()

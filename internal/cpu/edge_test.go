@@ -12,11 +12,11 @@ import (
 
 func TestEmptyTrace(t *testing.T) {
 	tr := &trace.Trace{App: "empty", MissPenalty: 50}
-	if got := RunBase(tr).Breakdown.Total(); got != 0 {
+	if got := replayBase(tr).Breakdown.Total(); got != 0 {
 		t.Errorf("BASE on empty trace = %d cycles", got)
 	}
-	for _, f := range []func(*trace.Trace, Config) (Result, error){RunSSBR, RunSS, RunDS} {
-		res, err := f(tr, Config{Model: consistency.RC})
+	for _, arch := range []Arch{ArchSSBR, ArchSS, ArchDS} {
+		res, err := replay(arch, tr, Config{Model: consistency.RC})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,8 +28,8 @@ func TestEmptyTrace(t *testing.T) {
 
 func TestHaltOnlyTrace(t *testing.T) {
 	tr := newTB().halt()
-	for _, static := range []func(*trace.Trace, Config) (Result, error){RunSSBR, RunSS} {
-		res, err := static(tr, Config{Model: consistency.SC})
+	for _, arch := range []Arch{ArchSSBR, ArchSS} {
+		res, err := replay(arch, tr, Config{Model: consistency.SC})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +38,7 @@ func TestHaltOnlyTrace(t *testing.T) {
 		}
 	}
 	// The DS pipeline pays its decode→dispatch→retire fill (≤3 cycles).
-	res, err := RunDS(tr, Config{Model: consistency.SC})
+	res, err := replay(ArchDS, tr, Config{Model: consistency.SC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +55,11 @@ func TestDSWindowOne(t *testing.T) {
 	b.alu(3, 2, 2)
 	b.load(4, 1, 128, true)
 	tr := b.halt()
-	res, err := RunDS(tr, cfg(consistency.RC, 1))
+	res, err := replay(ArchDS, tr, cfg(consistency.RC, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := RunBase(tr)
+	base := replayBase(tr)
 	// No overlap is possible; total within a few pipeline cycles of BASE.
 	if res.Breakdown.Total() < base.Breakdown.Total() {
 		t.Errorf("window 1 total %d below BASE %d: impossible overlap", res.Breakdown.Total(), base.Breakdown.Total())
@@ -77,11 +77,11 @@ func TestSSReadBufferExhaustion(t *testing.T) {
 		b.load(uint8(2+(i%8)), 1, uint64(i)*64, true)
 	}
 	tr := b.halt()
-	deep, err := RunSS(tr, Config{Model: consistency.RC, ReadBufDepth: 64})
+	deep, err := replay(ArchSS, tr, Config{Model: consistency.RC, ReadBufDepth: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shallow, err := RunSS(tr, Config{Model: consistency.RC, ReadBufDepth: 2})
+	shallow, err := replay(ArchSS, tr, Config{Model: consistency.RC, ReadBufDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSSBRWriteBufferDrainAtEnd(t *testing.T) {
 	b.store(1, 2, 64, true)
 	b.store(1, 2, 128, true)
 	tr := b.halt()
-	res, err := RunSSBR(tr, Config{Model: consistency.RC})
+	res, err := replay(ArchSSBR, tr, Config{Model: consistency.RC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestDSTraceEndingInStore(t *testing.T) {
 	b.alu(1, 0, 0)
 	b.store(1, 2, 64, true)
 	tr := b.halt()
-	res, err := RunDS(tr, cfg(consistency.RC, 16))
+	res, err := replay(ArchDS, tr, cfg(consistency.RC, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,19 +140,11 @@ func TestAllModelsOnAllClassMix(t *testing.T) {
 	b.barrier(25, 50)
 	b.alu(5, 4, 2)
 	tr := b.halt()
-	base := RunBase(tr)
+	base := replayBase(tr)
 	for _, m := range consistency.Models {
-		for _, arch := range []string{"SSBR", "SS", "DS"} {
-			var res Result
-			var err error
-			switch arch {
-			case "SSBR":
-				res, err = RunSSBR(tr, Config{Model: m})
-			case "SS":
-				res, err = RunSS(tr, Config{Model: m})
-			case "DS":
-				res, err = RunDS(tr, Config{Model: m, Window: 8})
-			}
+		// The static models ignore the window.
+		for _, arch := range []Arch{ArchSSBR, ArchSS, ArchDS} {
+			res, err := replay(arch, tr, Config{Model: m, Window: 8})
 			if err != nil {
 				t.Fatalf("%v/%s: %v", m, arch, err)
 			}
@@ -177,7 +169,7 @@ func TestContendedTraceLatenciesAboveBase(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunDS(tr, cfg(consistency.RC, 16))
+	res, err := replay(ArchDS, tr, cfg(consistency.RC, 16))
 	if err != nil {
 		t.Fatal(err)
 	}

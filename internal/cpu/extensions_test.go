@@ -28,13 +28,13 @@ func independentMissTrace(reps int) *trace.Trace {
 
 func TestPrefetchBoostsSC(t *testing.T) {
 	tr := independentMissTrace(20)
-	plain, err := RunDS(tr, cfg(consistency.SC, 256))
+	plain, err := replay(ArchDS, tr, cfg(consistency.SC, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := cfg(consistency.SC, 256)
 	c.Prefetch = true
-	pf, err := RunDS(tr, c)
+	pf, err := replay(ArchDS, tr, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +51,13 @@ func TestPrefetchNoOpUnderRC(t *testing.T) {
 	// Under RC nothing is consistency-blocked, so prefetching changes
 	// nothing and issues (almost) no prefetches.
 	tr := independentMissTrace(20)
-	plain, err := RunDS(tr, cfg(consistency.RC, 256))
+	plain, err := replay(ArchDS, tr, cfg(consistency.RC, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := cfg(consistency.RC, 256)
 	c.Prefetch = true
-	pf, err := RunDS(tr, c)
+	pf, err := replay(ArchDS, tr, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,17 +68,17 @@ func TestPrefetchNoOpUnderRC(t *testing.T) {
 
 func TestSpeculativeLoadsApproachRC(t *testing.T) {
 	tr := independentMissTrace(20)
-	sc, err := RunDS(tr, cfg(consistency.SC, 256))
+	sc, err := replay(ArchDS, tr, cfg(consistency.SC, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := cfg(consistency.SC, 256)
 	c.SpeculativeLoads = true
-	spec, err := RunDS(tr, c)
+	spec, err := replay(ArchDS, tr, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := RunDS(tr, cfg(consistency.RC, 256))
+	rc, err := replay(ArchDS, tr, cfg(consistency.RC, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSpeculativeLoadsForwardFromPendingStore(t *testing.T) {
 	tr := b.halt()
 	c := cfg(consistency.SC, 64)
 	c.SpeculativeLoads = true
-	res, err := RunDS(tr, c)
+	res, err := replay(ArchDS, tr, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +122,11 @@ func TestOccupancyGrowsWithWindow(t *testing.T) {
 		b.load(2, 2, uint64(r)*64, true) // dependent chain keeps the ROB full
 	}
 	tr := b.halt()
-	small, err := RunDS(tr, cfg(consistency.RC, 16))
+	small, err := replay(ArchDS, tr, cfg(consistency.RC, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := RunDS(tr, cfg(consistency.RC, 256))
+	large, err := replay(ArchDS, tr, cfg(consistency.RC, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestPrefetchRespectsNonBinding(t *testing.T) {
 	tr := independentMissTrace(10)
 	c := cfg(consistency.SC, 256)
 	c.Prefetch = true
-	res, err := RunDS(tr, c)
+	res, err := replay(ArchDS, tr, c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 package cpu
 
-// Metrics publication shared by the processor models. Each Run* function
+// Metrics publication shared by the processor models. Each replay core
 // calls publishResult on exit when Config.Metrics is set; occupancy and
 // delay histograms are observed live inside the cycle loops.
 
@@ -15,12 +15,12 @@ var (
 	delayBuckets     = []uint64{0, 10, 20, 30, 40, 50, 100}
 )
 
-// PublishResult registers a replay's aggregate outcome into reg under
-// prefix: the Figure 3 stall breakdown as counters plus instruction,
-// mispredict, and prefetch totals. Replays that take a Config publish on
-// exit; it is exported for the materialized BASE entry points, RunBase and
-// RunBaseObs, which take no Config. Safe with a nil registry.
-func PublishResult(reg *obs.Registry, prefix string, res Result) {
+// publishResult registers a replay's aggregate outcome into
+// cfg.Metrics under cfg.MetricsPrefix: the Figure 3 stall breakdown as
+// counters plus instruction, mispredict, and prefetch totals. Safe with a
+// nil registry.
+func publishResult(cfg *Config, res Result) {
+	reg, prefix := cfg.Metrics, cfg.MetricsPrefix
 	if reg == nil {
 		return
 	}
@@ -48,9 +48,4 @@ func PublishResult(reg *obs.Registry, prefix string, res Result) {
 		reg.Gauge(obs.Prefixed(prefix, "cpi")).Set(float64(b.Total()) / n)
 		reg.Gauge(obs.Prefixed(prefix, "mcpi")).Set(float64(b.Read+b.Write) / n)
 	}
-}
-
-// publishResult is PublishResult for models driven by a Config.
-func publishResult(cfg *Config, res Result) {
-	PublishResult(cfg.Metrics, cfg.MetricsPrefix, res)
 }

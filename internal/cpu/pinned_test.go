@@ -45,8 +45,8 @@ func resultHash(r Result) uint64 {
 	return h.Sum64()
 }
 
-// TestDSPinnedEdgeGrid pins RunDS on random traces across the four models,
-// odd and power-of-two windows, and every variant above. The golden was
+// TestDSPinnedEdgeGrid pins the DS replay on random traces across the four
+// models, odd and power-of-two windows, and every variant above. The golden was
 // recorded before the memory port replaced the rescanning issue loop, so
 // it is the byte-identity check for that change and for any later one
 // (regenerate with -update only for a deliberate behaviour change). CI
@@ -60,7 +60,7 @@ func TestDSPinnedEdgeGrid(t *testing.T) {
 				for _, v := range pinnedVariants {
 					c := Config{Model: m, Window: w}
 					v.set(&c)
-					r, err := RunDS(tr, c)
+					r, err := replay(ArchDS, tr, c)
 					if err != nil {
 						t.Fatalf("seed %d %v W%d %s: %v", seed, m, w, v.name, err)
 					}

@@ -96,24 +96,14 @@ func TestRandomTracesAreValid(t *testing.T) {
 func TestModelsBoundedByBase(t *testing.T) {
 	f := func(seed int64) bool {
 		tr := randomTrace(seed, 300)
-		base := RunBase(tr)
+		base := replayBase(tr)
 		n := uint64(tr.Len())
 		if base.Breakdown.Busy != n {
 			return false
 		}
 		for _, model := range consistency.Models {
-			for _, arch := range []string{"SSBR", "SS", "DS"} {
-				var res Result
-				var err error
-				cfg := Config{Model: model, Window: 64, Predictor: bpred.Perfect{}}
-				switch arch {
-				case "SSBR":
-					res, err = RunSSBR(tr, cfg)
-				case "SS":
-					res, err = RunSS(tr, cfg)
-				case "DS":
-					res, err = RunDS(tr, cfg)
-				}
+			for _, arch := range []Arch{ArchSSBR, ArchSS, ArchDS} {
+				res, err := replay(arch, tr, Config{Model: model, Window: 64, Predictor: bpred.Perfect{}})
 				if err != nil {
 					t.Logf("seed %d %v/%s: %v", seed, model, arch, err)
 					return false
@@ -147,7 +137,7 @@ func TestModelRelaxationMonotonicity(t *testing.T) {
 		tr := randomTrace(seed, 300)
 		totals := make(map[consistency.Model]uint64)
 		for _, m := range consistency.Models {
-			res, err := RunDS(tr, Config{Model: m, Window: 128, Predictor: bpred.Perfect{}})
+			res, err := replay(ArchDS, tr, Config{Model: m, Window: 128, Predictor: bpred.Perfect{}})
 			if err != nil {
 				return false
 			}
@@ -180,7 +170,7 @@ func TestWindowMonotonicityAndSum(t *testing.T) {
 		tr := randomTrace(seed, 300)
 		var prev uint64
 		for i, w := range []int{16, 32, 64, 128, 256} {
-			res, err := RunDS(tr, Config{Model: consistency.RC, Window: w, Predictor: bpred.Perfect{}})
+			res, err := replay(ArchDS, tr, Config{Model: consistency.RC, Window: w, Predictor: bpred.Perfect{}})
 			if err != nil {
 				return false
 			}
@@ -206,8 +196,8 @@ func TestWindowMonotonicityAndSum(t *testing.T) {
 func TestDSDeterministicOnRandomTraces(t *testing.T) {
 	f := func(seed int64) bool {
 		tr := randomTrace(seed, 250)
-		a, err1 := RunDS(tr, Config{Model: consistency.RC, Window: 64})
-		b, err2 := RunDS(tr, Config{Model: consistency.RC, Window: 64})
+		a, err1 := replay(ArchDS, tr, Config{Model: consistency.RC, Window: 64})
+		b, err2 := replay(ArchDS, tr, Config{Model: consistency.RC, Window: 64})
 		return err1 == nil && err2 == nil && a.Breakdown == b.Breakdown
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -231,7 +221,7 @@ func TestAcquireWaitLowerBound(t *testing.T) {
 				nsync++
 			}
 		}
-		res, err := RunDS(tr, Config{Model: consistency.RC, Window: 256, Predictor: bpred.Perfect{}, IgnoreDataDeps: true})
+		res, err := replay(ArchDS, tr, Config{Model: consistency.RC, Window: 256, Predictor: bpred.Perfect{}, IgnoreDataDeps: true})
 		if err != nil {
 			return false
 		}
@@ -258,15 +248,15 @@ func TestAcquireWaitLowerBound(t *testing.T) {
 func TestOracleKnobsNeverHurt(t *testing.T) {
 	f := func(seed int64) bool {
 		tr := randomTrace(seed, 300)
-		plain, err := RunDS(tr, Config{Model: consistency.RC, Window: 64})
+		plain, err := replay(ArchDS, tr, Config{Model: consistency.RC, Window: 64})
 		if err != nil {
 			return false
 		}
-		pbp, err := RunDS(tr, Config{Model: consistency.RC, Window: 64, Predictor: bpred.Perfect{}})
+		pbp, err := replay(ArchDS, tr, Config{Model: consistency.RC, Window: 64, Predictor: bpred.Perfect{}})
 		if err != nil {
 			return false
 		}
-		nd, err := RunDS(tr, Config{Model: consistency.RC, Window: 64, Predictor: bpred.Perfect{}, IgnoreDataDeps: true})
+		nd, err := replay(ArchDS, tr, Config{Model: consistency.RC, Window: 64, Predictor: bpred.Perfect{}, IgnoreDataDeps: true})
 		if err != nil {
 			return false
 		}

@@ -1,7 +1,7 @@
 package cpu
 
 // Allocation-free hot paths. A figure sweep replays the same trace through
-// RunDS/RunSS/RunSSBR thousands of times, and each replay would otherwise
+// its models thousands of times, and each replay would otherwise
 // rebuild its reorder-buffer ring, event heap, memory port queues, and one
 // heap-allocated memOp per memory instruction. The scratch structures here
 // are recycled through sync.Pools so a steady-state replay performs no
@@ -60,7 +60,7 @@ func (a *opArena) newMemOp(seq int, e *trace.Event) *memOp {
 	return op
 }
 
-// dsScratch is the reusable working set of one RunDS replay: the
+// dsScratch is the reusable working set of one DS replay: the
 // reorder-buffer ring, the event and dispatch heaps, the memory port's
 // candidate list and per-kind queues, the account's credit stack, and the
 // memOp arena.
@@ -104,7 +104,7 @@ func (s *dsScratch) release() {
 	dsPool.Put(s)
 }
 
-// staticScratch is the reusable working set of one RunSS/RunSSBR replay.
+// staticScratch is the reusable working set of one SS or SSBR replay.
 type staticScratch struct {
 	ops   []*memOp
 	wake  []uint64 // opWindow completion-time heap (capacity reuse)

@@ -187,30 +187,15 @@ func (w *opWindow) issueOne(t uint64, model consistency.Model, eligible func(*me
 	return nil
 }
 
-// RunSSBR replays tr through the statically scheduled, blocking-read
-// processor: reads stall the processor until they perform; writes and
-// releases enter a WriteBufDepth-deep write buffer drained in FIFO order
-// subject to the consistency model; acquires stall until they complete.
-func RunSSBR(tr *trace.Trace, cfg Config) (Result, error) {
-	src := sliceSource(tr)
-	return runStatic(&src, cfg, false)
-}
-
-// RunSS replays tr through the statically scheduled, non-blocking-read
-// processor: loads enter a ReadBufDepth-deep read buffer and the processor
-// stalls only at the first instruction that uses a pending return value —
-// "the stall is delayed up to the first use of the return value" (§4.1).
-func RunSS(tr *trace.Trace, cfg Config) (Result, error) {
-	src := sliceSource(tr)
-	return runStatic(&src, cfg, true)
-}
-
-func runStatic(src *eventSource, cfg Config, nonBlockingReads bool) (Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return Result{}, err
-	}
-
+// runStatic replays src through a statically scheduled processor. With
+// blocking reads (SSBR) reads stall the processor until they perform;
+// writes and releases enter a WriteBufDepth-deep write buffer drained in
+// FIFO order subject to the consistency model; acquires stall until they
+// complete. With non-blocking reads (SS) loads also enter a
+// ReadBufDepth-deep read buffer and the processor stalls only at the first
+// instruction that uses a pending return value — "the stall is delayed up
+// to the first use of the return value" (§4.1).
+func runStatic(src *Source, cfg Config, nonBlockingReads bool) (Result, error) {
 	scratch := getStaticScratch()
 	var (
 		acct      = newAccount(&cfg)

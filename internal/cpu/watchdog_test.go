@@ -23,38 +23,32 @@ func stallTrace(wait uint32) *trace.Trace {
 
 func TestWatchdogKillsStalledReplay(t *testing.T) {
 	tr := stallTrace(1 << 22)
-	for _, tc := range []struct {
-		model string
-		run   func(*trace.Trace, Config) (Result, error)
-	}{
-		{"SSBR", RunSSBR},
-		{"SS", RunSS},
-		{"DS", RunDS},
-	} {
+	for _, arch := range []Arch{ArchSSBR, ArchSS, ArchDS} {
+		model := string(arch)
 		c := cfg(consistency.SC, 64)
 		c.WatchdogBudget = 100
-		_, err := tc.run(tr, c)
+		_, err := replay(arch, tr, c)
 		if err == nil {
-			t.Fatalf("%s: stalled replay not killed", tc.model)
+			t.Fatalf("%s: stalled replay not killed", model)
 		}
 		var wd *WatchdogError
 		if !errors.As(err, &wd) {
-			t.Fatalf("%s: err = %v, want *WatchdogError", tc.model, err)
+			t.Fatalf("%s: err = %v, want *WatchdogError", model, err)
 		}
-		if wd.Model != tc.model {
-			t.Errorf("model = %q, want %q", wd.Model, tc.model)
+		if wd.Model != model {
+			t.Errorf("model = %q, want %q", wd.Model, model)
 		}
 		if wd.Budget != 100 || wd.Cycle <= wd.LastProgress {
-			t.Errorf("%s: bad watchdog bookkeeping: %+v", tc.model, wd)
+			t.Errorf("%s: bad watchdog bookkeeping: %+v", model, wd)
 		}
 		if wd.State == "" {
-			t.Errorf("%s: watchdog fired without a pipeline-state dump", tc.model)
+			t.Errorf("%s: watchdog fired without a pipeline-state dump", model)
 		}
 		if !wd.Permanent() {
-			t.Errorf("%s: watchdog errors must be permanent (not retried)", tc.model)
+			t.Errorf("%s: watchdog errors must be permanent (not retried)", model)
 		}
 		if !strings.Contains(err.Error(), "watchdog") || !strings.Contains(err.Error(), "state:") {
-			t.Errorf("%s: undiagnosable error text: %v", tc.model, err)
+			t.Errorf("%s: undiagnosable error text: %v", model, err)
 		}
 	}
 }
@@ -69,25 +63,19 @@ func TestWatchdogKillsStalledReplay(t *testing.T) {
 // both stepping disciplines.
 func TestWatchdogFiresUnderTimeSkip(t *testing.T) {
 	tr := stallTrace(1<<22 + 12345)
-	for _, tc := range []struct {
-		model string
-		run   func(*trace.Trace, Config) (Result, error)
-	}{
-		{"SSBR", RunSSBR},
-		{"SS", RunSS},
-		{"DS", RunDS},
-	} {
+	for _, arch := range []Arch{ArchSSBR, ArchSS, ArchDS} {
+		model := string(arch)
 		for _, noskip := range []bool{false, true} {
 			c := cfg(consistency.SC, 64)
 			c.WatchdogBudget = 100
 			c.NoTimeSkip = noskip
-			_, err := tc.run(tr, c)
+			_, err := replay(arch, tr, c)
 			var wd *WatchdogError
 			if !errors.As(err, &wd) {
-				t.Fatalf("%s noskip=%v: err = %v, want *WatchdogError", tc.model, noskip, err)
+				t.Fatalf("%s noskip=%v: err = %v, want *WatchdogError", model, noskip, err)
 			}
 			if wd.Cycle-wd.LastProgress <= wd.Budget {
-				t.Errorf("%s noskip=%v: fired within budget: %+v", tc.model, noskip, wd)
+				t.Errorf("%s noskip=%v: fired within budget: %+v", model, noskip, wd)
 			}
 		}
 	}
@@ -97,8 +85,8 @@ func TestWatchdogFiresUnderTimeSkip(t *testing.T) {
 // legitimate, only stagnation beyond the budget is not.
 func TestWatchdogDefaultBudgetAllowsLongWaits(t *testing.T) {
 	tr := stallTrace(1 << 18)
-	for _, run := range []func(*trace.Trace, Config) (Result, error){RunSSBR, RunSS, RunDS} {
-		if _, err := run(tr, cfg(consistency.SC, 64)); err != nil {
+	for _, arch := range []Arch{ArchSSBR, ArchSS, ArchDS} {
+		if _, err := replay(arch, tr, cfg(consistency.SC, 64)); err != nil {
 			t.Fatalf("legitimate long wait killed: %v", err)
 		}
 	}
@@ -111,10 +99,10 @@ func TestWatchdogQuietOnNormalReplay(t *testing.T) {
 		load(2, 1, 64, true).
 		store(1, 2, 128, true).
 		halt()
-	for _, run := range []func(*trace.Trace, Config) (Result, error){RunSSBR, RunSS, RunDS} {
+	for _, arch := range []Arch{ArchSSBR, ArchSS, ArchDS} {
 		c := cfg(consistency.RC, 64)
 		c.WatchdogBudget = 1 << 20
-		if _, err := run(tr, c); err != nil {
+		if _, err := replay(arch, tr, c); err != nil {
 			t.Fatalf("watchdog fired on a healthy replay: %v", err)
 		}
 	}
@@ -124,19 +112,19 @@ func TestReplayCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	tr := stallTrace(30)
-	for _, run := range []func(*trace.Trace, Config) (Result, error){RunSSBR, RunSS, RunDS} {
+	for _, arch := range []Arch{ArchSSBR, ArchSS, ArchDS} {
 		c := cfg(consistency.SC, 64)
 		c.Ctx = ctx
-		_, err := run(tr, c)
+		_, err := replay(arch, tr, c)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("canceled replay returned %v, want context.Canceled", err)
 		}
 	}
 	// A live context changes nothing.
-	for _, run := range []func(*trace.Trace, Config) (Result, error){RunSSBR, RunSS, RunDS} {
+	for _, arch := range []Arch{ArchSSBR, ArchSS, ArchDS} {
 		c := cfg(consistency.SC, 64)
 		c.Ctx = context.Background()
-		if _, err := run(tr, c); err != nil {
+		if _, err := replay(arch, tr, c); err != nil {
 			t.Fatalf("background ctx broke the replay: %v", err)
 		}
 	}

@@ -470,22 +470,6 @@ func normalize(cols []Column) {
 	}
 }
 
-// runArch executes one processor configuration over tr.
-func runArch(tr *trace.Trace, arch string, cfg cpu.Config) (cpu.Result, error) {
-	switch arch {
-	case "BASE":
-		// BASE has no machine parameters; of cfg it uses only the probes.
-		return cpu.RunBaseObs(tr, cfg.CritPath, cfg.Timeline), nil
-	case "SSBR":
-		return cpu.RunSSBR(tr, cfg)
-	case "SS":
-		return cpu.RunSS(tr, cfg)
-	case "DS":
-		return cpu.RunDS(tr, cfg)
-	}
-	return cpu.Result{}, fmt.Errorf("exp: unknown architecture %q", arch)
-}
-
 // traceMatrix replays specs over one supplied trace through the matrix
 // driver, fanning the independent replays across GOMAXPROCS workers.
 func traceMatrix(tr *trace.Trace, specs []CellSpec) ([]Column, error) {
@@ -538,7 +522,7 @@ func (e *Experiment) ReadHiddenSummary() (map[int]float64, map[string]map[int]fl
 // decode-to-issue delays for read misses at window 64 with perfect branch
 // prediction under RC.
 func ReadMissDelays(tr *trace.Trace) (*cpu.DelayHistogram, error) {
-	res, err := cpu.RunDS(tr, cpu.Config{
+	res, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(tr), cpu.Config{
 		Model:     consistency.RC,
 		Window:    64,
 		Predictor: bpred.Perfect{},

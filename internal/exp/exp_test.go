@@ -516,7 +516,10 @@ func TestBaseMatchesLatencyBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := cpu.RunBase(run.Trace)
+		base, err := cpu.Replay(cpu.ArchBase, cpu.TraceSource(run.Trace), cpu.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		rd, wr, sy := run.Trace.LatencyBound()
 		if base.Breakdown.Read != rd || base.Breakdown.Write != wr || base.Breakdown.Sync != sy {
 			t.Errorf("%s: BASE (r %d, w %d, s %d) != bound (r %d, w %d, s %d)",

@@ -12,7 +12,7 @@ package exp
 //	opts := exp.DefaultOptions(); opts.Scale = apps.ScaleSmall
 //	e := exp.New(opts)
 //	for each app: print trace.Len, Data().ReadMisses/WriteMisses,
-//	    RunBase total, RunDS(RC, 64) total
+//	    BASE total, RC-DS64 total
 //
 // and update the table alongside the change that justified it.
 
@@ -57,11 +57,14 @@ func TestGoldenSmallScale(t *testing.T) {
 			if d.ReadMisses != g.readMisses || d.WriteMisses != g.writeMisses {
 				t.Errorf("misses = %d/%d, want %d/%d", d.ReadMisses, d.WriteMisses, g.readMisses, g.writeMisses)
 			}
-			base := cpu.RunBase(run.Trace)
+			base, err := cpu.Replay(cpu.ArchBase, cpu.TraceSource(run.Trace), cpu.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			if base.Breakdown.Total() != g.baseTotal {
 				t.Errorf("BASE total = %d, want %d", base.Breakdown.Total(), g.baseTotal)
 			}
-			ds, err := cpu.RunDS(run.Trace, cpu.Config{Model: consistency.RC, Window: 64})
+			ds, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(run.Trace), cpu.Config{Model: consistency.RC, Window: 64})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,9 +28,13 @@ func TestMetricsMatchBreakdown(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base := cpu.RunBase(run.Trace)
-	cpu.PublishResult(reg, "cpu.BASE.", base)
-	ds, err := cpu.RunDS(run.Trace, cpu.Config{
+	base, err := cpu.Replay(cpu.ArchBase, cpu.TraceSource(run.Trace), cpu.Config{
+		Metrics: reg, MetricsPrefix: "cpu.BASE.",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(run.Trace), cpu.Config{
 		Model: consistency.RC, Window: 64,
 		Metrics: reg, MetricsPrefix: "cpu.RC-DS64.",
 	})
@@ -220,7 +224,7 @@ func TestPipeTracerCoversReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := obs.NewPipeTracer(0)
-	res, err := cpu.RunDS(run.Trace, cpu.Config{Model: consistency.RC, Window: 64, Pipe: p})
+	res, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(run.Trace), cpu.Config{Model: consistency.RC, Window: 64, Pipe: p})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,11 +131,11 @@ func TestConcurrentReplaysShareNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantDS, err := cpu.RunDS(run.Trace, cpu.Config{Model: consistency.RC, Window: 64})
+	wantDS, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(run.Trace), cpu.Config{Model: consistency.RC, Window: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSS, err := cpu.RunSS(run.Trace, cpu.Config{Model: consistency.RC})
+	wantSS, err := cpu.Replay(cpu.ArchSS, cpu.TraceSource(run.Trace), cpu.Config{Model: consistency.RC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,22 +147,22 @@ func TestConcurrentReplaysShareNothing(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				ds, err := cpu.RunDS(run.Trace, cpu.Config{Model: consistency.RC, Window: 64})
+				ds, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(run.Trace), cpu.Config{Model: consistency.RC, Window: 64})
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				if ds.Breakdown != wantDS.Breakdown {
-					t.Errorf("concurrent RunDS breakdown = %+v, want %+v", ds.Breakdown, wantDS.Breakdown)
+					t.Errorf("concurrent DS breakdown = %+v, want %+v", ds.Breakdown, wantDS.Breakdown)
 					return
 				}
-				ss, err := cpu.RunSS(run.Trace, cpu.Config{Model: consistency.RC})
+				ss, err := cpu.Replay(cpu.ArchSS, cpu.TraceSource(run.Trace), cpu.Config{Model: consistency.RC})
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				if ss.Breakdown != wantSS.Breakdown {
-					t.Errorf("concurrent RunSS breakdown = %+v, want %+v", ss.Breakdown, wantSS.Breakdown)
+					t.Errorf("concurrent SS breakdown = %+v, want %+v", ss.Breakdown, wantSS.Breakdown)
 					return
 				}
 			}

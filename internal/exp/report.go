@@ -196,7 +196,10 @@ func MachineSweep(app string, base Options) ([]MachineRow, error) {
 			return err
 		}
 		d := run.Trace.Data()
-		b := cpu.RunBase(run.Trace)
+		b, err := cpu.Replay(cpu.ArchBase, cpu.TraceSource(run.Trace), cpu.Config{})
+		if err != nil {
+			return err
+		}
 		out[i] = &MachineRow{
 			App:          app,
 			NumCPUs:      n,
@@ -270,8 +273,11 @@ func Contention(app string, base Options) ([]ContentionRow, error) {
 		if misses > 0 {
 			avg = float64(lat) / float64(misses)
 		}
-		baseRes := cpu.RunBase(run.Trace)
-		dsRes, err := cpu.RunDS(run.Trace, cpu.Config{Model: consistency.RC, Window: 64})
+		baseRes, err := cpu.Replay(cpu.ArchBase, cpu.TraceSource(run.Trace), cpu.Config{})
+		if err != nil {
+			return err
+		}
+		dsRes, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(run.Trace), cpu.Config{Model: consistency.RC, Window: 64})
 		if err != nil {
 			return err
 		}
@@ -340,7 +346,7 @@ func (e *Experiment) MultipleContexts(app string, switchPenalty int) ([]MCRow, e
 		return nil, err
 	}
 
-	ds, err := cpu.RunDS(res.Traces[0], cpu.Config{Model: consistency.RC, Window: 64})
+	ds, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(res.Traces[0]), cpu.Config{Model: consistency.RC, Window: 64})
 	if err != nil {
 		return nil, err
 	}
@@ -405,20 +411,23 @@ func (e *Experiment) ReschedAll() ([]ReschedRow, error) {
 	err := e.perAppJobs(func(i int, run *AppRun) error {
 		moved, st := resched.Reschedule(run.Trace, 0)
 		aggMoved, aggSt := resched.RescheduleLevel(run.Trace, 64, resched.Aggressive)
-		base := cpu.RunBase(run.Trace)
-		ssO, err := cpu.RunSS(run.Trace, cpu.Config{Model: consistency.RC})
+		base, err := cpu.Replay(cpu.ArchBase, cpu.TraceSource(run.Trace), cpu.Config{})
 		if err != nil {
 			return err
 		}
-		ssR, err := cpu.RunSS(moved, cpu.Config{Model: consistency.RC})
+		ssO, err := cpu.Replay(cpu.ArchSS, cpu.TraceSource(run.Trace), cpu.Config{Model: consistency.RC})
 		if err != nil {
 			return err
 		}
-		ssA, err := cpu.RunSS(aggMoved, cpu.Config{Model: consistency.RC})
+		ssR, err := cpu.Replay(cpu.ArchSS, cpu.TraceSource(moved), cpu.Config{Model: consistency.RC})
 		if err != nil {
 			return err
 		}
-		ds16, err := cpu.RunDS(run.Trace, cpu.Config{Model: consistency.RC, Window: 16})
+		ssA, err := cpu.Replay(cpu.ArchSS, cpu.TraceSource(aggMoved), cpu.Config{Model: consistency.RC})
+		if err != nil {
+			return err
+		}
+		ds16, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(run.Trace), cpu.Config{Model: consistency.RC, Window: 16})
 		if err != nil {
 			return err
 		}
@@ -482,8 +491,11 @@ func AblationCacheSize(app string, base Options) ([]CacheGeomRow, error) {
 			return err
 		}
 		d := run.Trace.Data()
-		baseRes := cpu.RunBase(run.Trace)
-		dsRes, err := cpu.RunDS(run.Trace, cpu.Config{Model: consistency.RC, Window: 64})
+		baseRes, err := cpu.Replay(cpu.ArchBase, cpu.TraceSource(run.Trace), cpu.Config{})
+		if err != nil {
+			return err
+		}
+		dsRes, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(run.Trace), cpu.Config{Model: consistency.RC, Window: 64})
 		if err != nil {
 			return err
 		}

@@ -26,13 +26,13 @@ import (
 // in the grid so all four processor models are pinned by the same property.
 func skipEquivCells() []struct {
 	label  string
-	arch   string
+	arch   cpu.Arch
 	window int
 	extra  func(*cpu.Config)
 } {
 	cells := []struct {
 		label  string
-		arch   string
+		arch   cpu.Arch
 		window int
 		extra  func(*cpu.Config)
 	}{
@@ -53,7 +53,7 @@ func skipEquivCells() []struct {
 	return cells
 }
 
-func replayBothArms(t *testing.T, tr *trace.Trace, label, arch string, cfg cpu.Config) {
+func replayBothArms(t *testing.T, tr *trace.Trace, label string, arch cpu.Arch, cfg cpu.Config) {
 	t.Helper()
 	type arm struct {
 		res  cpu.Result
@@ -67,11 +67,10 @@ func replayBothArms(t *testing.T, tr *trace.Trace, label, arch string, cfg cpu.C
 		c.NoTimeSkip = noskip
 		c.Metrics = reg
 		c.MetricsPrefix = "equiv."
-		res, err := runArch(tr, arch, c)
+		res, err := cpu.Replay(arch, cpu.TraceSource(tr), c)
 		if err != nil {
 			t.Fatalf("%s noskip=%v: %v", label, noskip, err)
 		}
-		cpu.PublishResult(reg, "equiv.", res)
 		arms[i] = arm{res: res, fnv: obs.SnapshotFNV(reg.Snapshot()), name: fmt.Sprintf("noskip=%v", noskip)}
 	}
 	if !reflect.DeepEqual(arms[0].res, arms[1].res) {

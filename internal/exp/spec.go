@@ -49,10 +49,8 @@ const maxSpecSize = 1 << 20
 // Validate rejects specs that could not have come from a spec constructor —
 // the coordinator and worker both call it before trusting a wire value.
 func (s CellSpec) Validate() error {
-	switch s.Arch {
-	case "BASE", "SSBR", "SS", "DS":
-	default:
-		return fmt.Errorf("exp: spec %q: unknown architecture %q", s.Label, s.Arch)
+	if _, err := cpu.ParseArch(s.Arch); err != nil {
+		return fmt.Errorf("exp: spec %q: %w", s.Label, err)
 	}
 	if _, err := consistency.ParseModel(s.Model); err != nil {
 		return fmt.Errorf("exp: spec %q: %w", s.Label, err)
@@ -137,7 +135,7 @@ func (s CellSpec) replay(tr *trace.Trace, o *Options, p probe, name string) (cel
 		cfg.Timeline.CauseNames = timelineCauseNames()
 		o.Timelines.Register(name, cfg.Timeline)
 	}
-	res, err := runArch(tr, s.Arch, cfg)
+	res, err := cpu.Replay(cpu.Arch(s.Arch), cpu.TraceSource(tr), cfg)
 	if err != nil {
 		return cellOutcome{}, err
 	}

@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dynsched/internal/apps"
@@ -22,22 +23,6 @@ import (
 	"dynsched/internal/obs"
 	"dynsched/internal/trace"
 )
-
-// runArchStream is runArch's streaming dual: the same processor dispatch
-// over a cursor instead of a materialized trace.
-func runArchStream(c *trace.Cursor, arch string, cfg cpu.Config) (cpu.Result, error) {
-	switch arch {
-	case "BASE":
-		return cpu.RunBaseStream(c, cfg)
-	case "SSBR":
-		return cpu.RunSSBRStream(c, cfg)
-	case "SS":
-		return cpu.RunSSStream(c, cfg)
-	case "DS":
-		return cpu.RunDSStream(c, cfg)
-	}
-	return cpu.Result{}, fmt.Errorf("exp: unknown architecture %q", arch)
-}
 
 func TestStreamEquivalence(t *testing.T) {
 	models := []consistency.Model{consistency.SC, consistency.PC, consistency.WO, consistency.RC}
@@ -71,11 +56,10 @@ func TestStreamEquivalence(t *testing.T) {
 					cfgM := cfg
 					cfgM.Metrics = regM
 					cfgM.MetricsPrefix = "equiv."
-					want, err := runArch(run.Trace, c.arch, cfgM)
+					want, err := cpu.Replay(c.arch, cpu.TraceSource(run.Trace), cfgM)
 					if err != nil {
 						t.Fatalf("%s materialized: %v", label, err)
 					}
-					cpu.PublishResult(regM, "equiv.", want)
 
 					cur, err := trace.NewCursor(bytes.NewReader(raw))
 					if err != nil {
@@ -85,11 +69,10 @@ func TestStreamEquivalence(t *testing.T) {
 					cfgS := cfg
 					cfgS.Metrics = regS
 					cfgS.MetricsPrefix = "equiv."
-					got, err := runArchStream(cur, c.arch, cfgS)
+					got, err := cpu.Replay(c.arch, cpu.CursorSource(cur), cfgS)
 					if err != nil {
 						t.Fatalf("%s streaming: %v", label, err)
 					}
-					cpu.PublishResult(regS, "equiv.", got)
 
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("%s: Result differs between streaming and materialized:\n stream: %+v\n slice:  %+v",
@@ -106,7 +89,9 @@ func TestStreamEquivalence(t *testing.T) {
 
 // TestStreamWindowGuard pins the lookback contract at the API boundary: a
 // DS window deeper than the cursor's pointer-retention guarantee must be
-// rejected, not silently replayed over recycled ring slots.
+// rejected over a cursor, not silently replayed over recycled ring slots.
+// The materialized trace takes the same window, and the other three models,
+// which copy what they keep out of each event, stream it unchanged.
 func TestStreamWindowGuard(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Scale = apps.ScaleSmall
@@ -120,11 +105,28 @@ func TestStreamWindowGuard(t *testing.T) {
 	if _, err := run.Trace.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	cur, err := trace.NewCursor(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cpu.RunDSStream(cur, cpu.Config{Model: consistency.RC, Window: trace.CursorLookback + 1}); err == nil {
-		t.Fatal("RunDSStream accepted a window beyond trace.CursorLookback")
+	cfg := cpu.Config{Model: consistency.RC, Window: trace.CursorLookback + 1}
+	for _, arch := range cpu.Archs {
+		want, err := cpu.Replay(arch, cpu.TraceSource(run.Trace), cfg)
+		if err != nil {
+			t.Fatalf("%s materialized: %v", arch, err)
+		}
+		cur, err := trace.NewCursor(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cpu.Replay(arch, cpu.CursorSource(cur), cfg)
+		if arch == cpu.ArchDS {
+			if err == nil || !strings.Contains(err.Error(), "streaming lookback") {
+				t.Fatalf("DS over a cursor accepted a window beyond trace.CursorLookback: err = %v", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s streaming: %v", arch, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Result differs between streaming and materialized:\n stream: %+v\n slice:  %+v", arch, got, want)
+		}
 	}
 }

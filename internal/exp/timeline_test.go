@@ -20,7 +20,7 @@ import (
 // an interval sampler and critpath collector attached and requires the
 // derived sample series — including the per-interval fine-cause deltas — to
 // be byte-identical.
-func timelineBothArms(t *testing.T, tr *trace.Trace, label, arch string, cfg cpu.Config) {
+func timelineBothArms(t *testing.T, tr *trace.Trace, label string, arch cpu.Arch, cfg cpu.Config) {
 	t.Helper()
 	var series [2][]obs.TimelineSample
 	for i, noskip := range []bool{false, true} {
@@ -30,7 +30,7 @@ func timelineBothArms(t *testing.T, tr *trace.Trace, label, arch string, cfg cpu
 		tl.CauseNames = timelineCauseNames()
 		c.Timeline = tl
 		c.CritPath = critpath.NewCollector()
-		if _, err := runArch(tr, arch, c); err != nil {
+		if _, err := cpu.Replay(arch, cpu.TraceSource(tr), c); err != nil {
 			t.Fatalf("%s noskip=%v: %v", label, noskip, err)
 		}
 		series[i] = tl.Samples()
@@ -240,7 +240,7 @@ func TestServeTimelineMidRunReplay(t *testing.T) {
 		hub.Register("lu RC-DS64", tl)
 		cfg := cpu.Config{Model: consistency.RC, Window: 64,
 			CritPath: critpath.NewCollector(), Timeline: tl}
-		_, err := runArch(run.Trace, "DS", cfg)
+		_, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(run.Trace), cfg)
 		done <- err
 	}()
 

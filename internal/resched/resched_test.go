@@ -198,11 +198,11 @@ func TestReschedulingHelpsSS(t *testing.T) {
 	if st.Hoisted == 0 {
 		t.Fatal("nothing hoisted")
 	}
-	before, err := cpu.RunSS(tr, cpu.Config{Model: consistency.RC})
+	before, err := cpu.Replay(cpu.ArchSS, cpu.TraceSource(tr), cpu.Config{Model: consistency.RC})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := cpu.RunSS(out, cpu.Config{Model: consistency.RC})
+	after, err := cpu.Replay(cpu.ArchSS, cpu.TraceSource(out), cpu.Config{Model: consistency.RC})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		b.ReportAllocs()
 		cfg := cpu.Config{Model: consistency.RC, Window: 64}
 		for i := 0; i < b.N; i++ {
-			if _, err := cpu.RunDS(tr, cfg); err != nil {
+			if _, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(tr), cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -79,7 +79,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := cpu.RunDS(tr, cfg); err != nil {
+			if _, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(tr), cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -90,7 +90,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		cfg := cpu.Config{Model: consistency.RC, Window: 64, Pipe: obs.NewPipeTracer(0)}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := cpu.RunDS(tr, cfg); err != nil {
+			if _, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(tr), cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -104,7 +104,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		cfg := cpu.Config{Model: consistency.RC, Window: 64}
 		for i := 0; i < b.N; i++ {
 			cfg.Timeline = obs.NewTimeline(10, 256)
-			if _, err := cpu.RunDS(tr, cfg); err != nil {
+			if _, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(tr), cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -116,7 +116,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		cfg := cpu.Config{Model: consistency.RC, Window: 64}
 		for i := 0; i < b.N; i++ {
 			cfg.CritPath = critpath.NewCollector()
-			if _, err := cpu.RunDS(tr, cfg); err != nil {
+			if _, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(tr), cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -11,7 +11,7 @@ package dynsched
 // out the same — the speedup column is only meaningful at GOMAXPROCS >= 2.
 //
 // TestRunDSSteadyStateAllocs is the regression guard on the allocation
-// work: before the scratch pooling a small-scale RC/W64 RunDS replay cost
+// work: before the scratch pooling a small-scale RC/W64 DS replay cost
 // 1910 allocs/op; pooling the simulator state brought it to single digits.
 
 import (
@@ -153,14 +153,14 @@ func BenchmarkPerf(b *testing.B) {
 			b.Fatal(err)
 		}
 		cfg := cpu.Config{Model: consistency.RC, Window: 64}
-		if _, err := cpu.RunDS(run.Trace, cfg); err != nil { // warm the scratch pool
+		if _, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(run.Trace), cfg); err != nil { // warm the scratch pool
 			b.Fatal(err)
 		}
 		var ms0, ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := cpu.RunDS(run.Trace, cfg); err != nil {
+			if _, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(run.Trace), cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -181,12 +181,12 @@ func BenchmarkPerf(b *testing.B) {
 		b.Run("RunDS/W256", func(b *testing.B) {
 			b.ReportAllocs()
 			cfg := cpu.Config{Model: consistency.RC, Window: 256}
-			if _, err := cpu.RunDS(run.Trace, cfg); err != nil { // warm the scratch pool
+			if _, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(run.Trace), cfg); err != nil { // warm the scratch pool
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cpu.RunDS(run.Trace, cfg); err != nil {
+				if _, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(run.Trace), cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -353,12 +353,12 @@ func BenchmarkPerf(b *testing.B) {
 			b.Run(fmt.Sprintf("RunDS/lat%d/%s", penalty, name), func(b *testing.B) {
 				b.ReportAllocs()
 				cfg := cpu.Config{Model: consistency.RC, Window: 64, NoTimeSkip: noskip}
-				if _, err := cpu.RunDS(run.Trace, cfg); err != nil { // warm the scratch pool
+				if _, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(run.Trace), cfg); err != nil { // warm the scratch pool
 					b.Fatal(err)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := cpu.RunDS(run.Trace, cfg); err != nil {
+					if _, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(run.Trace), cfg); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -462,13 +462,13 @@ func TestRunDSSteadyStateAllocs(t *testing.T) {
 	}
 	cfg := cpu.Config{Model: consistency.RC, Window: 64}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := cpu.RunDS(run.Trace, cfg); err != nil {
+		if _, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(run.Trace), cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
 	// Generous headroom over the measured ~6 allocs/op, still ~20x under
 	// the 382 acceptance bar.
 	if allocs > 100 {
-		t.Errorf("RunDS steady state = %.0f allocs/op, want <= 100 (pre-pooling baseline was 1910)", allocs)
+		t.Errorf("DS steady state = %.0f allocs/op, want <= 100 (pre-pooling baseline was 1910)", allocs)
 	}
 }
