@@ -590,7 +590,16 @@ func runDS(src *Source, cfg Config) (Result, error) {
 					dispatch.push(seq)
 				}
 			case isa.ClassLoad, isa.ClassStore, isa.ClassSync:
-				en.mop = scratch.arena.newMemOp(seq, ev)
+				if scratch.ops.full() {
+					// Every live access is at or after the ROB head or the
+					// port's front of its kind (see opRing).
+					low := headSeq
+					for _, f := range port.front {
+						low = min(low, f)
+					}
+					scratch.ops.advance(low)
+				}
+				en.mop = scratch.ops.newMemOp(seq, ev)
 				en.mop.decodedAt = t
 				memLive++
 				port.add(en.mop)

@@ -2,8 +2,8 @@ package cpu
 
 // Allocation-free hot paths. A figure sweep replays the same trace through
 // its models thousands of times, and each replay would otherwise
-// rebuild its reorder-buffer ring, event heap, memory port queues, and one
-// heap-allocated memOp per memory instruction. The scratch structures here
+// rebuild its reorder-buffer ring, event heap, memory port queues, and the
+// blocks of memOps its accesses live in. The scratch structures here
 // are recycled through sync.Pools so a steady-state replay performs no
 // allocations beyond its Result: each parallel experiment worker naturally
 // ends up with its own scratch, and single-threaded callers reuse one.
@@ -16,38 +16,74 @@ import (
 	"dynsched/internal/trace"
 )
 
-// arenaBlockSize is the number of memOps per arena block. Blocks are never
-// reallocated, so pointers handed out by alloc stay valid for the arena's
-// lifetime — the property the port/entries cross-references rely on.
-const arenaBlockSize = 1024
+// opBlockSize is the number of memOps per ring block.
+const opBlockSize = 1024
 
-// opArena hands out memOps from fixed-size blocks and recycles all of them
-// with one reset. memOp contains no pointers, so retained blocks pin nothing
-// between runs.
-type opArena struct {
-	blocks [][]memOp
-	bi, n  int // next free slot: blocks[bi][n], with n < arenaBlockSize
+// opRing hands out memOps in program order from fixed-size blocks that
+// never move, so a *memOp stays valid for as long as its access is live.
+// The blocks in use form a FIFO whose last block is being filled. When it
+// fills, the caller passes a low-water mark, a sequence number below which
+// no access is live any more, and the oldest block is reused if its last
+// (youngest) op is below the mark; otherwise a free block is taken, or a
+// new one made. A replay therefore holds memory for its in-flight accesses,
+// not for every memory instruction of its trace, and the mark is computed
+// once per block, not per access.
+//
+// A live access is one some structure of the replay may still read:
+//
+//   - DS (mark: the ROB head and the port's front of every kind). ROB
+//     entries are at or after the head. The port's candidates and the
+//     live parts of its kind queues hold only accesses at or after their
+//     kind's front, since an unperformed access is never older than its
+//     kind's oldest unperformed one; queue slots before a queue's head are
+//     never read. A pending perform event names an issued access that has
+//     not performed, and a retired entry's stale mop is read only behind
+//     en.seq == e.seq for such an event.
+//   - SSBR/SS (mark: the window's oldest access, or the one being decoded).
+//     The window holds the unperformed accesses in program order, and
+//     regOwner only unperformed loads, being cleared on perform. A
+//     performed acquire leaves the window but blocks until its wall, and
+//     an SSBR load blocks until it performs; while either blocks, the
+//     processor decodes nothing, so no block fills.
+//
+// memOp contains no pointers, so pooled blocks pin nothing between runs.
+type opRing struct {
+	used [][]memOp // blocks in allocation order; the last is being filled
+	free [][]memOp // blocks no replay is using
+	cur  []memOp   // used[len(used)-1], or nil before the first block
+	n    int       // ops handed out from cur
+	peak int       // most blocks in use at once (tests)
 }
 
-func (a *opArena) alloc() *memOp {
-	if a.bi == len(a.blocks) {
-		a.blocks = append(a.blocks, make([]memOp, arenaBlockSize))
+// full reports whether the next newMemOp needs advance first.
+func (r *opRing) full() bool { return r.n == len(r.cur) }
+
+// advance starts a new current block. low is the replay's low-water mark:
+// no access with a smaller sequence number will be read again.
+func (r *opRing) advance(low int) {
+	if len(r.used) > 0 && r.used[0][opBlockSize-1].seq < low {
+		b := r.used[0]
+		copy(r.used, r.used[1:])
+		r.used[len(r.used)-1] = b
+	} else {
+		var b []memOp
+		if k := len(r.free); k > 0 {
+			b, r.free = r.free[k-1], r.free[:k-1]
+		} else {
+			b = make([]memOp, opBlockSize)
+		}
+		r.used = append(r.used, b)
+		r.peak = max(r.peak, len(r.used))
 	}
-	op := &a.blocks[a.bi][a.n]
+	r.cur, r.n = r.used[len(r.used)-1], 0
+}
+
+// newMemOp hands out the access record for e, the event with sequence
+// number seq. The ring must not be full.
+func (r *opRing) newMemOp(seq int, e *trace.Event) *memOp {
+	op := &r.cur[r.n]
+	r.n++
 	*op = memOp{}
-	a.n++
-	if a.n == arenaBlockSize {
-		a.bi++
-		a.n = 0
-	}
-	return op
-}
-
-func (a *opArena) reset() { a.bi, a.n = 0, 0 }
-
-// newMemOp allocates an access record for e from the arena.
-func (a *opArena) newMemOp(seq int, e *trace.Event) *memOp {
-	op := a.alloc()
 	op.seq = seq
 	op.instr = e.Instr
 	op.pc = e.PC
@@ -60,17 +96,31 @@ func (a *opArena) newMemOp(seq int, e *trace.Event) *memOp {
 	return op
 }
 
+// ringPeakHook, when set, receives each replay's opRing.peak as the replay
+// ends (tests).
+var ringPeakHook func(blocks int)
+
+// reset frees every block for the next replay.
+func (r *opRing) reset() {
+	if ringPeakHook != nil {
+		ringPeakHook(r.peak)
+	}
+	r.free = append(r.free, r.used...)
+	clear(r.used)
+	r.used, r.cur, r.n, r.peak = r.used[:0], nil, 0, 0
+}
+
 // dsScratch is the reusable working set of one DS replay: the
 // reorder-buffer ring, the event and dispatch heaps, the memory port's
 // candidate list and per-kind queues, the account's credit stack, and the
-// memOp arena.
+// memOp ring.
 type dsScratch struct {
 	entries  []dsEntry
 	evq      eventHeap
 	dispatch seqHeap
 	port     memPort
 	runs     []stallRun // the account's credit stack
-	arena    opArena
+	ops      opRing
 }
 
 var dsPool = sync.Pool{New: func() any { return &dsScratch{port: newMemPort()} }}
@@ -89,7 +139,7 @@ func getDSScratch(window int) *dsScratch {
 }
 
 // release clears every pointer the run left behind — trace events in the
-// entries, arena ops in the memory port — so a pooled scratch never pins a
+// entries, ring ops in the memory port — so a pooled scratch never pins a
 // trace, then returns it to the pool.
 func (s *dsScratch) release() {
 	for i := range s.entries {
@@ -100,15 +150,15 @@ func (s *dsScratch) release() {
 	s.evq = s.evq[:0]
 	s.dispatch = s.dispatch[:0]
 	s.runs = s.runs[:0]
-	s.arena.reset()
+	s.ops.reset()
 	dsPool.Put(s)
 }
 
 // staticScratch is the reusable working set of one SS or SSBR replay.
 type staticScratch struct {
-	ops   []*memOp
-	wake  []uint64 // opWindow completion-time heap (capacity reuse)
-	arena opArena
+	win  []*memOp
+	wake []uint64 // opWindow completion-time heap (capacity reuse)
+	ops  opRing
 }
 
 var staticPool = sync.Pool{New: func() any { return new(staticScratch) }}
@@ -118,11 +168,9 @@ func getStaticScratch() *staticScratch {
 }
 
 func (s *staticScratch) release() {
-	for i := range s.ops {
-		s.ops[i] = nil
-	}
-	s.ops = s.ops[:0]
+	clear(s.win)
+	s.win = s.win[:0]
 	s.wake = s.wake[:0]
-	s.arena.reset()
+	s.ops.reset()
 	staticPool.Put(s)
 }

@@ -199,7 +199,7 @@ func runStatic(src *Source, cfg Config, nonBlockingReads bool) (Result, error) {
 	scratch := getStaticScratch()
 	var (
 		acct      = newAccount(&cfg)
-		win       = opWindow{ops: scratch.ops, wake: scratch.wake}
+		win       = opWindow{ops: scratch.win, wake: scratch.wake}
 		wbCount   int // stores + releases in the write buffer
 		rbCount   int // pending loads in the read buffer (SS)
 		blockLoad *memOp
@@ -211,11 +211,26 @@ func runStatic(src *Source, cfg Config, nonBlockingReads bool) (Result, error) {
 		curEv     *trace.Event // current decode slot, fetched once per accept
 	)
 	defer func() {
-		scratch.ops, scratch.wake = win.ops, win.wake
+		scratch.win, scratch.wake = win.ops, win.wake
 		scratch.release()
 	}()
 
 	eligible := func(op *memOp) bool { return true } // all window entries are in flight
+
+	// newOp hands out the access record for e, decoded now. Every live
+	// access is in the window (see opRing).
+	newOp := func(e *trace.Event) *memOp {
+		if scratch.ops.full() {
+			low := idx
+			if len(win.ops) > 0 {
+				low = win.ops[0].seq
+			}
+			scratch.ops.advance(low)
+		}
+		op := scratch.ops.newMemOp(idx, e)
+		op.decodedAt = t
+		return op
+	}
 
 	// Observability: the account integrates the occupancy of the in-flight
 	// access window, the write buffer and the read buffer, and histograms
@@ -387,8 +402,7 @@ func runStatic(src *Source, cfg Config, nonBlockingReads bool) (Result, error) {
 						st, stalled = stall{catRead, critpath.BufferFull}, true
 						break
 					}
-					op := scratch.arena.newMemOp(idx, e)
-					op.decodedAt = t
+					op := newOp(e)
 					win.add(op)
 					if nonBlockingReads {
 						rbCount++
@@ -402,14 +416,12 @@ func runStatic(src *Source, cfg Config, nonBlockingReads bool) (Result, error) {
 						st, stalled = stall{catWrite, critpath.BufferFull}, true
 						break
 					}
-					op := scratch.arena.newMemOp(idx, e)
-					op.decodedAt = t
+					op := newOp(e)
 					win.add(op)
 					wbCount++
 					accept()
 				case isa.ClassSync:
-					op := scratch.arena.newMemOp(idx, e)
-					op.decodedAt = t
+					op := newOp(e)
 					if isAcquireClass(e.Instr.Op) {
 						op.wall = t + uint64(op.wait)
 						win.add(op)

@@ -8,6 +8,7 @@ import (
 	"dynsched/internal/apps"
 	"dynsched/internal/consistency"
 	"dynsched/internal/cpu"
+	"dynsched/internal/obs"
 )
 
 func smallExp(t *testing.T, appNames ...string) *Experiment {
@@ -527,6 +528,31 @@ func TestBaseMatchesLatencyBound(t *testing.T) {
 		}
 		if base.Breakdown.Busy != uint64(run.Trace.Len()) {
 			t.Errorf("%s: BASE busy %d != instructions %d", app, base.Breakdown.Busy, run.Trace.Len())
+		}
+	}
+}
+
+// The bandwidth settings generate concurrently, so the metrics snapshot
+// must come from one of them regardless of which finishes last: the
+// unbounded-bandwidth generation, the same one every other experiment
+// publishes for the application.
+func TestContentionMetricsDeterministic(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Scale = apps.ScaleSmall
+	opts.NumCPUs = 4
+	opts.Metrics = obs.NewRegistry()
+	if _, err := New(opts).Run("mp3d"); err != nil {
+		t.Fatal(err)
+	}
+	want := obs.SnapshotFNV(opts.Metrics.Snapshot())
+	for _, workers := range []int{1, 4, 4} {
+		opts.Workers = workers
+		opts.Metrics = obs.NewRegistry()
+		if _, err := Contention("mp3d", opts); err != nil {
+			t.Fatal(err)
+		}
+		if got := obs.SnapshotFNV(opts.Metrics.Snapshot()); got != want {
+			t.Errorf("-j %d: contention metrics checksum %s, want the unbounded generation's %s", workers, got, want)
 		}
 	}
 }

@@ -247,7 +247,10 @@ type ContentionRow struct {
 // how much of the paper's headline result survives. The paper assumes
 // unbounded bandwidth and calls its results "somewhat optimistic" (§5);
 // this experiment quantifies that optimism. The bandwidth settings simulate
-// concurrently, bounded by base.Workers.
+// concurrently, bounded by base.Workers. Only the unbounded-bandwidth
+// generation publishes to base.Metrics and base.Timelines: every setting
+// would report under the same tango.<app>. names and timeline label, and
+// which one finished last would decide the snapshot.
 func Contention(app string, base Options) ([]ContentionRow, error) {
 	intervals := []uint32{0, 4, 10, 25}
 	rows := make([]ContentionRow, len(intervals))
@@ -256,6 +259,9 @@ func Contention(app string, base Options) ([]ContentionRow, error) {
 		opts := base
 		opts.Apps = []string{app}
 		opts.MemIssueInterval = interval
+		if interval != 0 {
+			opts.Metrics, opts.Timelines = nil, nil
+		}
 		e := New(opts)
 		run, err := e.Run(app)
 		if err != nil {

@@ -24,29 +24,37 @@ type Memory interface {
 }
 
 // PagedMem is a sparse word-addressable memory backed by fixed-size pages.
-// The zero value is ready to use. It is not safe for concurrent use; the
-// simulator is single-goroutine by design (deterministic interleaving).
+// Pages in the low 128 MiB, where asm.Layout bump-allocates the
+// applications' data, are found by indexing a slice, the rest through a
+// map. The zero value is ready to use. It is not safe for concurrent use;
+// the simulator is single-goroutine by design (deterministic interleaving).
 type PagedMem struct {
-	pages map[uint64]*page
+	dense  []*page          // pages with id < densePages, indexed by id
+	sparse map[uint64]*page // pages with id >= densePages
 }
 
 const (
-	pageWords = 1 << 12 // 4096 words = 32 KiB per page
-	pageShift = 12 + 3  // word index → page id (3 = log2 word size)
-	pageMask  = uint64(pageWords - 1)
+	pageWords  = 1 << 12 // 4096 words = 32 KiB per page
+	pageMask   = uint64(pageWords - 1)
+	densePages = 1 << 12 // page ids the dense slice may cover
 )
 
 type page [pageWords]uint64
 
 // NewPagedMem returns an empty memory.
 func NewPagedMem() *PagedMem {
-	return &PagedMem{pages: make(map[uint64]*page)}
+	return &PagedMem{}
 }
 
 // Load implements Memory.
 func (m *PagedMem) Load(addr uint64) uint64 {
 	w := addr / isa.WordSize
-	p := m.pages[w>>12]
+	var p *page
+	if id := w >> 12; id < uint64(len(m.dense)) {
+		p = m.dense[id]
+	} else if id >= densePages {
+		p = m.sparse[id]
+	}
 	if p == nil {
 		return 0
 	}
@@ -57,15 +65,37 @@ func (m *PagedMem) Load(addr uint64) uint64 {
 func (m *PagedMem) Store(addr uint64, val uint64) {
 	w := addr / isa.WordSize
 	id := w >> 12
-	p := m.pages[id]
+	var p *page
+	if id < uint64(len(m.dense)) {
+		p = m.dense[id]
+	}
 	if p == nil {
-		if m.pages == nil {
-			m.pages = make(map[uint64]*page)
-		}
-		p = new(page)
-		m.pages[id] = p
+		p = m.pageOf(id)
 	}
 	p[w&pageMask] = val
+}
+
+// pageOf returns page id, creating it (and growing the dense slice to
+// reach it) if it does not exist yet.
+func (m *PagedMem) pageOf(id uint64) *page {
+	if id < densePages {
+		if n := uint64(len(m.dense)); id >= n {
+			m.dense = append(m.dense, make([]*page, id+1-n)...)
+		}
+		if m.dense[id] == nil {
+			m.dense[id] = new(page)
+		}
+		return m.dense[id]
+	}
+	p := m.sparse[id]
+	if p == nil {
+		if m.sparse == nil {
+			m.sparse = make(map[uint64]*page)
+		}
+		p = new(page)
+		m.sparse[id] = p
+	}
+	return p
 }
 
 // LoadF and StoreF are float64 conveniences for tests and result checking.

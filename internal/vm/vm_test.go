@@ -41,6 +41,29 @@ func TestPagedMemZeroValue(t *testing.T) {
 	}
 }
 
+// TestPagedMemDenseSparseBoundary stores on both sides of the dense
+// region's end and far above it, in descending order so the dense slice
+// grows by one large step.
+func TestPagedMemDenseSparseBoundary(t *testing.T) {
+	var m PagedMem
+	const edge = densePages * pageWords * isa.WordSize
+	addrs := []uint64{1 << 40, edge + 8, edge, edge - 8, 1 << 20, 0}
+	for i, a := range addrs {
+		m.Store(a, uint64(i+1))
+	}
+	for i, a := range addrs {
+		if got := m.Load(a); got != uint64(i+1) {
+			t.Errorf("Load(%#x) = %d, want %d", a, got, i+1)
+		}
+	}
+	if got := m.Load(edge + 16); got != 0 {
+		t.Errorf("Load of an unwritten word = %d, want 0", got)
+	}
+	if len(m.dense) != densePages || len(m.sparse) != 2 {
+		t.Errorf("%d dense and %d sparse pages, want %d and 2", len(m.dense), len(m.sparse), densePages)
+	}
+}
+
 func TestPagedMemDistinctWords(t *testing.T) {
 	m := NewPagedMem()
 	m.Store(0, 1)
