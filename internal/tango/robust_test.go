@@ -6,12 +6,16 @@ package tango
 import (
 	"context"
 	"errors"
+	"io"
+	"math/rand/v2"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"dynsched/internal/asm"
+	"dynsched/internal/obs"
 )
 
 // spinner builds an infinite loop — a livelocked program that makes
@@ -118,5 +122,123 @@ func TestSimulationCtxCancellation(t *testing.T) {
 	cfg.Ctx = context.Background()
 	if _, err := Run(same(2, lockCounter(0x1000, 0x2000, 10)), nil, cfg); err != nil {
 		t.Fatalf("background ctx broke the simulation: %v", err)
+	}
+}
+
+// TestMachineErrorSameBatched checks that the cycle-budget and runaway
+// errors fire at the same cycle with the same machine-state dump whether
+// or not local instructions run in batches: a batch never runs past the
+// cycle at which either check would fire.
+func TestMachineErrorSameBatched(t *testing.T) {
+	mixed := mixedProgram(rand.New(rand.NewPCG(7, 7)))
+	spinMix := []*asm.Program{lockCounter(0x1000, 0x2000, 40), spinner(), mixed, lockCounter(0x1000, 0x2000, 40), mixed}
+	for _, tc := range []struct {
+		name      string
+		progs     []*asm.Program
+		maxCycles uint64
+		maxInstrs uint64
+		reason    string
+	}{
+		{"spinner/cycle budget", same(1, spinner()), 5000, 0, "cycle budget"},
+		{"mix/cycle budget", spinMix, 777, 0, "cycle budget"},
+		{"spinner/runaway", same(1, spinner()), 0, 1000, "runaway"},
+		{"mix/runaway", spinMix, 0, 1000, "runaway"},
+		{"mix/runaway before cycle budget", spinMix, 1500, 1000, "runaway"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(batched bool) *MachineError {
+				unbatched = !batched
+				defer func() { unbatched = false }()
+				cfg := cfgN(len(tc.progs), 0)
+				cfg.MaxCycles, cfg.MaxInstrs = tc.maxCycles, tc.maxInstrs
+				_, err := Run(tc.progs, nil, cfg)
+				var me *MachineError
+				if !errors.As(err, &me) {
+					t.Fatalf("batched=%v: err = %v, want *MachineError", batched, err)
+				}
+				return me
+			}
+			got, want := run(true), run(false)
+			if want.Reason != tc.reason {
+				t.Errorf("reason = %q, want %q", want.Reason, tc.reason)
+			}
+			if got.Reason != want.Reason || got.Cycle != want.Cycle || got.State != want.State {
+				t.Errorf("batched error differs:\nbatched   %s at %d: %s\nunbatched %s at %d: %s",
+					got.Reason, got.Cycle, got.State, want.Reason, want.Cycle, want.State)
+			}
+		})
+	}
+}
+
+// TestSimulationCtxCancelMidRun cancels a live context while processors
+// spin in an endless ALU loop, which runs entirely in batches: the batch
+// cap returns each processor to the scheduler loop, which polls the
+// context, so Run must come back promptly.
+func TestSimulationCtxCancelMidRun(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p := obs.NewProgress(io.Discard, time.Hour)
+	cfg := cfgN(2, -1)
+	cfg.Ctx = ctx
+	cfg.Progress = p.Lane("spin")
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(same(2, spinner()), nil, cfg)
+		done <- err
+	}()
+	// Cancel once the run has published progress, so it is mid-run.
+	for deadline := time.Now().Add(10 * time.Second); p.Status().Instrs == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("simulation published no progress within 10 s")
+		}
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled simulation returned %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("simulation did not return within 10 s of cancellation")
+	}
+
+	// The context is polled when the step count crosses a PublishEvery
+	// boundary, which a step count that grows by whole batches seldom lands
+	// on: a canceled run stops at the first crossing, well before the
+	// runaway check.
+	cfg = cfgN(1, -1)
+	cfg.Ctx = ctx
+	cfg.MaxInstrs = 2*obs.PublishEvery + 100
+	if _, err := Run(same(1, spinner()), nil, cfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled spinner returned %v, want context.Canceled", err)
+	}
+}
+
+// TestProgressLaneTotals checks that the progress lane ends holding the
+// run's summed instructions and its cycle count, batched or not. The run
+// crosses several PublishEvery boundaries.
+func TestProgressLaneTotals(t *testing.T) {
+	for _, batched := range []bool{true, false} {
+		unbatched = !batched
+		p := obs.NewProgress(io.Discard, time.Hour)
+		cfg := cfgN(4, -1)
+		cfg.Progress = p.Lane("lockctr")
+		res, err := Run(same(4, lockCounter(0x1000, 0x2000, 3000)), nil, cfg)
+		unbatched = false
+		if err != nil {
+			t.Fatal(err)
+		}
+		var instrs uint64
+		for _, st := range res.CPUStats {
+			instrs += st.Instructions
+		}
+		if instrs < 4*obs.PublishEvery {
+			t.Fatalf("run of %d instructions crosses too few publish boundaries", instrs)
+		}
+		lane := p.Status().Lanes[0]
+		if lane.Instrs != instrs || lane.Cycles != res.Cycles {
+			t.Errorf("batched=%v: lane holds %d instructions, %d cycles; run executed %d in %d cycles",
+				batched, lane.Instrs, lane.Cycles, instrs, res.Cycles)
+		}
 	}
 }

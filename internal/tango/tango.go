@@ -21,6 +21,16 @@
 // binary heap holding the rare wakeups further ahead. The processors run
 // almost in lockstep, so nearly every pop is a bit scan of the current or
 // next cycle's bucket instead of a heap pop among tied entries.
+//
+// Processors interleave only at memory, synchronization and halt
+// instructions. An ALU or branch instruction reads and writes only its
+// processor's registers and PC, and its statistics and trace event belong
+// to that processor alone, so a scheduler turn runs a processor's whole run
+// of them, one cycle each, and pushes it back once, as Tango Lite switches
+// processes only at memory and synchronization events. Every other
+// processor's instructions at those cycles still run in the same global
+// order, so traces, statistics and timeline points are identical to
+// stepping one instruction per turn.
 package tango
 
 import (
@@ -561,12 +571,14 @@ func (s *sim) loop() error {
 				"simulated time passed %d cycles with %d processors still running (livelocked program?)",
 				s.cfg.MaxCycles, running)
 		}
-		halted, err := s.step(next)
+		n, halted, err := s.step(next)
 		if err != nil {
 			return err
 		}
-		s.steps++
-		if s.steps&(obs.PublishEvery-1) == 0 {
+		s.steps += n
+		// A turn may run many instructions, so poll when the step count
+		// crosses a PublishEvery boundary rather than when it lands on one.
+		if (s.steps-n)/obs.PublishEvery != s.steps/obs.PublishEvery {
 			if err := s.ctxErr(); err != nil {
 				return fmt.Errorf("tango: simulation canceled at cycle %d: %w", now, err)
 			}
@@ -683,20 +695,83 @@ func (s *sim) record(p *proc, info *vm.StepInfo, latency, wait uint32, miss bool
 	return i
 }
 
-// step executes one instruction on p, advancing its clock and possibly
-// blocking it. It reports whether the processor halted.
-func (s *sim) step(p *proc) (bool, error) {
+// maxBatch caps the instructions one scheduler turn runs, so that a
+// processor in an endless ALU loop still returns to loop, which polls the
+// context and checks the budgets. A turn's wakeup, at most maxBatch cycles
+// after the time it was popped at, stays on the ready queue's wheel.
+const maxBatch = wheelSpan - 1
+
+// unbatched, set only by tests, runs every instruction through the ready
+// queue: the reference schedule the batched one must reproduce exactly.
+var unbatched bool
+
+// step executes instructions on p in one scheduler turn, advancing its
+// clock and possibly blocking it: a run of local instructions, or else one
+// memory, sync or halt instruction. It returns how many instructions ran
+// and whether the processor halted.
+func (s *sim) step(p *proc) (uint64, bool, error) {
 	t := p.readyAt
+	if !unbatched {
+		if k := s.runLocal(p, t); k > 0 {
+			p.readyAt = t + k
+			return k, false, nil
+		}
+	}
 	info, err := p.th.Step()
 	if err != nil {
-		return false, fmt.Errorf("tango: cpu %d: %w", p.id, err)
+		return 0, false, fmt.Errorf("tango: cpu %d: %w", p.id, err)
 	}
 	p.stats.Instructions++
+	halted, err := s.stepTimed(p, t, &info)
+	return 1, halted, err
+}
 
+// runLocal runs p's ALU and branch instructions from cycle t, one cycle
+// each, ahead of the other processors' instructions at those cycles (the
+// package comment says why that changes nothing), and returns how many
+// ran. The run stops at the first other instruction and before the cycles
+// at which loop acts on global time:
+//   - the next timeline boundary, whose point counts the instructions run
+//     before it;
+//   - MaxCycles+1, where the cycle budget fires;
+//   - MaxInstrs: a processor executes at most one instruction per cycle,
+//     so the runaway check cannot fire earlier, and stopping there leaves
+//     every processor as the unbatched schedule would when it does;
+//   - maxBatch instructions.
+func (s *sim) runLocal(p *proc, t uint64) uint64 {
+	end := min(t+maxBatch, s.cfg.Timeline.Boundary(), s.cfg.MaxInstrs)
+	if s.cfg.MaxCycles > 0 {
+		end = min(end, s.cfg.MaxCycles+1)
+	}
+	th, b := p.th, s.rec[p.id]
+	now := t
+	for now < end {
+		pc := th.PC
+		taken, ok := th.StepLocal()
+		if !ok {
+			break
+		}
+		if b != nil {
+			e := b.Append()
+			e.PC = int32(pc)
+			e.Instr = th.Prog.Instrs[pc]
+			e.Taken = taken
+			e.NextPC = int32(th.PC)
+		}
+		now++
+	}
+	k := now - t
+	p.stats.Instructions += k
+	return k
+}
+
+// stepTimed applies the timing of the instruction info describes, which p
+// executed at cycle t. It reports whether the processor halted.
+func (s *sim) stepTimed(p *proc, t uint64, info *vm.StepInfo) (bool, error) {
 	switch isa.Classify(info.Instr.Op) {
 	case isa.ClassALU, isa.ClassBranch:
 		p.readyAt = t + 1
-		s.record(p, &info, 0, 0, false)
+		s.record(p, info, 0, 0, false)
 
 	case isa.ClassLoad:
 		lat, miss := s.memRead(p.id, info.Addr, t)
@@ -704,7 +779,7 @@ func (s *sim) step(p *proc) (bool, error) {
 		if miss {
 			p.stats.ReadStall += uint64(lat - 1)
 		}
-		s.record(p, &info, lat, 0, miss)
+		s.record(p, info, lat, 0, miss)
 
 	case isa.ClassStore:
 		lat, miss := s.memWrite(p.id, info.Addr, t)
@@ -720,7 +795,7 @@ func (s *sim) step(p *proc) (bool, error) {
 			p.writesDoneAt = done
 		}
 		p.readyAt = t + 1
-		s.record(p, &info, lat, 0, miss)
+		s.record(p, info, lat, 0, miss)
 
 	case isa.ClassSync:
 		return false, s.stepSync(p, t, info)
@@ -728,14 +803,14 @@ func (s *sim) step(p *proc) (bool, error) {
 	case isa.ClassHalt:
 		p.halted = true
 		p.stats.FinishCycle = t
-		s.record(p, &info, 0, 0, false)
+		s.record(p, info, 0, 0, false)
 		return true, nil
 	}
 	return false, nil
 }
 
 // stepSync handles the five synchronization opcodes.
-func (s *sim) stepSync(p *proc, t uint64, info vm.StepInfo) error {
+func (s *sim) stepSync(p *proc, t uint64, info *vm.StepInfo) error {
 	switch info.Instr.Op {
 	case isa.OpLock:
 		l := s.locks[info.Addr]
@@ -750,7 +825,7 @@ func (s *sim) stepSync(p *proc, t uint64, info vm.StepInfo) error {
 			l.held = true
 			p.readyAt = t + uint64(lat)
 			p.stats.SyncTransfer += uint64(lat)
-			s.record(p, &info, lat, 0, miss)
+			s.record(p, info, lat, 0, miss)
 			return nil
 		}
 		if !l.held { // free, but only at a future time (release in flight)
@@ -760,13 +835,13 @@ func (s *sim) stepSync(p *proc, t uint64, info vm.StepInfo) error {
 			p.readyAt = l.freeAt + uint64(lat)
 			p.stats.SyncWait += w
 			p.stats.SyncTransfer += uint64(lat)
-			s.record(p, &info, lat, uint32(w), miss)
+			s.record(p, info, lat, uint32(w), miss)
 			return nil
 		}
 		// Held: block until granted by an unlock.
 		p.blockedAt = t
 		p.readyAt = unblocked
-		p.pendingEv = s.record(p, &info, 0, 0, false)
+		p.pendingEv = s.record(p, info, 0, 0, false)
 		l.waiters = append(l.waiters, p)
 		return nil
 
@@ -789,7 +864,7 @@ func (s *sim) stepSync(p *proc, t uint64, info vm.StepInfo) error {
 			p.writesDoneAt = freeAt
 		}
 		p.readyAt = t + 1
-		s.record(p, &info, lat, 0, miss)
+		s.record(p, info, lat, 0, miss)
 
 		if len(l.waiters) > 0 {
 			// Grant to the first waiter (FIFO).
@@ -830,7 +905,7 @@ func (s *sim) stepSync(p *proc, t uint64, info vm.StepInfo) error {
 		}
 		p.blockedAt = t
 		p.readyAt = unblocked
-		p.pendingEv = s.record(p, &info, 0, 0, false)
+		p.pendingEv = s.record(p, info, 0, 0, false)
 		b.arrived = append(b.arrived, p)
 		if len(b.arrived) == s.cfg.NumCPUs {
 			depart := b.maxTime
@@ -860,7 +935,7 @@ func (s *sim) stepSync(p *proc, t uint64, info vm.StepInfo) error {
 			p.readyAt = t + wait + uint64(lat)
 			p.stats.SyncWait += wait
 			p.stats.SyncTransfer += uint64(lat)
-			s.record(p, &info, lat, uint32(wait), miss)
+			s.record(p, info, lat, uint32(wait), miss)
 			return nil
 		}
 		if e == nil {
@@ -869,7 +944,7 @@ func (s *sim) stepSync(p *proc, t uint64, info vm.StepInfo) error {
 		}
 		p.blockedAt = t
 		p.readyAt = unblocked
-		p.pendingEv = s.record(p, &info, 0, 0, false)
+		p.pendingEv = s.record(p, info, 0, 0, false)
 		e.waiters = append(e.waiters, p)
 		return nil
 
@@ -893,7 +968,7 @@ func (s *sim) stepSync(p *proc, t uint64, info vm.StepInfo) error {
 			p.writesDoneAt = setAt
 		}
 		p.readyAt = t + 1
-		s.record(p, &info, lat, 0, miss)
+		s.record(p, info, lat, 0, miss)
 		for _, w := range e.waiters {
 			rlat, rmiss := s.memRead(w.id, eventAddr(id), setAt)
 			wait := setAt - w.blockedAt

@@ -183,3 +183,126 @@ func TestExecutedCounter(t *testing.T) {
 		t.Errorf("Executed = %d, want 3", th.Executed)
 	}
 }
+
+// stepLocalThread returns a thread whose program is in followed by a halt,
+// with registers 1..3 holding a, b and a third distinct value.
+func stepLocalThread(in isa.Instr, a, b uint64) *Thread {
+	prog := &asm.Program{Name: "local", Instrs: []isa.Instr{in, {Op: isa.OpHalt}}}
+	th := NewThread(prog, NewPagedMem())
+	th.Regs[1], th.Regs[2], th.Regs[3] = a, b, 0xdead
+	return th
+}
+
+// TestStepLocalMatchesStep checks StepLocal against Step for every ALU and
+// branch opcode: the same registers, PC and Executed count, and the same
+// branch outcome as Step's StepInfo. It covers Nop, writes to the zero
+// register, and each branch taken and not taken.
+func TestStepLocalMatchesStep(t *testing.T) {
+	operands := [][2]uint64{{37, 5}, {0, 0}, {^uint64(0), 3}, {isa.Bits(6.25), isa.Bits(2.5)}}
+	for op := isa.Op(0); op.Valid(); op++ {
+		c := isa.Classify(op)
+		if c != isa.ClassALU && c != isa.ClassBranch {
+			continue
+		}
+		for _, dst := range []uint8{isa.Zero, 3} {
+			for _, ab := range operands {
+				// Imm is a shift amount, an immediate operand, or a branch
+				// target away from the fall-through PC.
+				in := isa.Instr{Op: op, Dst: dst, Src1: 1, Src2: 2, Imm: 5}
+				ref, got := stepLocalThread(in, ab[0], ab[1]), stepLocalThread(in, ab[0], ab[1])
+				info, err := ref.Step()
+				if err != nil {
+					t.Fatalf("%v: Step: %v", in, err)
+				}
+				taken, ok := got.StepLocal()
+				if !ok {
+					t.Fatalf("%v: StepLocal refused an %v instruction", in, c)
+				}
+				if got.Regs != ref.Regs || got.PC != ref.PC || got.Executed != ref.Executed || got.Halted {
+					t.Errorf("%v with %v: StepLocal left pc %d executed %d regs[3] %#x, Step pc %d executed %d regs[3] %#x",
+						in, ab, got.PC, got.Executed, got.Regs[3], ref.PC, ref.Executed, ref.Regs[3])
+				}
+				if taken != info.Taken || got.PC != info.NextPC {
+					t.Errorf("%v with %v: StepLocal taken=%v pc %d, StepInfo taken=%v next %d",
+						in, ab, taken, got.PC, info.Taken, info.NextPC)
+				}
+				if got.Regs[isa.Zero] != 0 {
+					t.Errorf("%v: zero register written", in)
+				}
+				if c == isa.ClassALU && op != isa.OpNop && dst != isa.Zero {
+					if want := isa.EvalALU(op, ab[0], ab[1], in.Imm); got.Regs[dst] != want {
+						t.Errorf("%v with %v: r%d = %#x, want %#x", in, ab, dst, got.Regs[dst], want)
+					}
+				}
+			}
+		}
+	}
+
+	// Both outcomes of each conditional branch, and a Nop that changes no
+	// register.
+	for _, tc := range []struct {
+		op    isa.Op
+		src   uint64
+		taken bool
+	}{
+		{isa.OpBeqz, 0, true}, {isa.OpBeqz, 7, false},
+		{isa.OpBnez, 7, true}, {isa.OpBnez, 0, false},
+		{isa.OpJ, 0, true},
+	} {
+		th := stepLocalThread(isa.Instr{Op: tc.op, Src1: 1, Imm: 9}, tc.src, 0)
+		taken, ok := th.StepLocal()
+		want := 1
+		if tc.taken {
+			want = 9
+		}
+		if !ok || taken != tc.taken || th.PC != want {
+			t.Errorf("%v on %d: ok=%v taken=%v pc=%d, want taken=%v pc=%d", tc.op, tc.src, ok, taken, th.PC, tc.taken, want)
+		}
+	}
+	th := stepLocalThread(isa.Instr{Op: isa.OpNop, Dst: 3, Src1: 1, Src2: 2}, 1, 2)
+	before := th.Regs
+	if _, ok := th.StepLocal(); !ok || th.Regs != before || th.PC != 1 || th.Executed != 1 {
+		t.Errorf("nop: ok=%v pc=%d executed=%d, regs changed=%v", ok, th.PC, th.Executed, th.Regs != before)
+	}
+}
+
+// TestStepLocalRefusesNonLocal checks that StepLocal executes nothing that
+// touches memory, synchronizes or halts, nor anything on a halted thread,
+// out of range or with an invalid opcode: it returns false and leaves the
+// thread and its memory as they were.
+func TestStepLocalRefusesNonLocal(t *testing.T) {
+	var cases []isa.Instr
+	for op := isa.Op(0); op.Valid(); op++ {
+		if c := isa.Classify(op); c != isa.ClassALU && c != isa.ClassBranch {
+			cases = append(cases, isa.Instr{Op: op, Dst: 3, Src1: 1, Src2: 2, Imm: 8})
+		}
+	}
+	cases = append(cases, isa.Instr{Op: isa.Op(255), Dst: 3, Src1: 1, Src2: 2})
+	for _, in := range cases {
+		th := stepLocalThread(in, 64, 42)
+		before := *th
+		if taken, ok := th.StepLocal(); ok || taken {
+			t.Errorf("%v: StepLocal ran it (taken=%v)", in, taken)
+		}
+		if *th != before {
+			t.Errorf("%v: StepLocal changed the thread", in)
+		}
+		if m := th.Mem.(*PagedMem); m.dense != nil || m.sparse != nil {
+			t.Errorf("%v: StepLocal touched memory", in)
+		}
+	}
+	if _, err := stepLocalThread(isa.Instr{Op: isa.Op(255)}, 0, 0).Step(); err == nil {
+		t.Error("Step accepted an invalid opcode")
+	}
+
+	halted := stepLocalThread(isa.Instr{Op: isa.OpAddi, Dst: 3, Src1: 1, Imm: 1}, 0, 0)
+	halted.Halted = true
+	outside := stepLocalThread(isa.Instr{Op: isa.OpAddi, Dst: 3, Src1: 1, Imm: 1}, 0, 0)
+	outside.PC = 2
+	for name, th := range map[string]*Thread{"halted": halted, "pc out of range": outside} {
+		before := *th
+		if _, ok := th.StepLocal(); ok || *th != before {
+			t.Errorf("%s: StepLocal ran (ok=%v) or changed the thread", name, ok)
+		}
+	}
+}

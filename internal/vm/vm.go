@@ -5,7 +5,8 @@
 // addresses, and branch outcomes, but knows nothing about time. Timing,
 // blocking, caches, and synchronization semantics are layered on top by the
 // multiprocessor simulator (package tango), which calls Step and inspects the
-// returned StepInfo.
+// returned StepInfo, or StepLocal for the ALU and branch instructions that
+// need no StepInfo.
 package vm
 
 import (
@@ -107,7 +108,7 @@ type StepInfo struct {
 	PC     int       // static instruction index executed
 	Instr  isa.Instr // the instruction
 	Addr   uint64    // effective address (loads, stores, lock/unlock)
-	Value  uint64    // value loaded or stored (for debugging/validation)
+	Value  uint64    // value loaded or stored (loads and stores; for debugging/validation)
 	Taken  bool      // for branches: whether the branch was taken
 	NextPC int       // PC after this instruction
 	Halted bool      // instruction was Halt
@@ -153,12 +154,13 @@ func (t *Thread) Step() (StepInfo, error) {
 	info := StepInfo{PC: t.PC, Instr: in, NextPC: t.PC + 1}
 
 	switch isa.Classify(in.Op) {
-	case isa.ClassALU:
-		if in.Op != isa.OpNop {
-			v := isa.EvalALU(in.Op, t.Regs[in.Src1], t.Regs[in.Src2], in.Imm)
-			t.write(in.Dst, v)
-			info.Value = v
+	case isa.ClassALU, isa.ClassBranch:
+		taken, ok := t.StepLocal()
+		if !ok {
+			return StepInfo{}, fmt.Errorf("vm: %s: invalid opcode %v at pc %d", t.Prog.Name, in.Op, t.PC)
 		}
+		info.Taken, info.NextPC = taken, t.PC
+		return info, nil
 	case isa.ClassLoad:
 		info.Addr = t.Regs[in.Src1] + uint64(in.Imm)
 		if info.Addr%isa.WordSize != 0 {
@@ -174,18 +176,6 @@ func (t *Thread) Step() (StepInfo, error) {
 		}
 		info.Value = t.Regs[in.Src2]
 		t.Mem.Store(info.Addr, info.Value)
-	case isa.ClassBranch:
-		switch in.Op {
-		case isa.OpBeqz:
-			info.Taken = t.Regs[in.Src1] == 0
-		case isa.OpBnez:
-			info.Taken = t.Regs[in.Src1] != 0
-		case isa.OpJ:
-			info.Taken = true
-		}
-		if info.Taken {
-			info.NextPC = int(in.Imm)
-		}
 	case isa.ClassSync:
 		// For lock/unlock, Addr is the lock variable's address; for
 		// barriers and events it carries the runtime object id (a+imm).
@@ -195,13 +185,53 @@ func (t *Thread) Step() (StepInfo, error) {
 		t.Halted = true
 		info.Halted = true
 		info.NextPC = t.PC
-	default:
-		return StepInfo{}, fmt.Errorf("vm: %s: invalid opcode %v at pc %d", t.Prog.Name, in.Op, t.PC)
 	}
 
 	t.PC = info.NextPC
 	t.Executed++
 	return info, nil
+}
+
+// StepLocal executes the instruction at the current PC if it is an ALU or
+// branch instruction, one that reads and writes only the thread's registers
+// and PC, and advances. It reports whether a branch was taken, and ok is
+// true when the instruction ran. For any other instruction, an invalid
+// opcode, a PC out of range or a halted thread, ok is false and the thread
+// is untouched. Step runs ALU and branch instructions through it; the
+// multiprocessor simulator calls it directly to run a processor's local
+// instructions without building a StepInfo.
+func (t *Thread) StepLocal() (taken, ok bool) {
+	if t.Halted || uint(t.PC) >= uint(len(t.Prog.Instrs)) {
+		return false, false
+	}
+	in := &t.Prog.Instrs[t.PC]
+	next := t.PC + 1
+	switch isa.Classify(in.Op) {
+	case isa.ClassALU:
+		if !in.Op.Valid() {
+			return false, false
+		}
+		if in.Op != isa.OpNop {
+			t.write(in.Dst, isa.EvalALU(in.Op, t.Regs[in.Src1], t.Regs[in.Src2], in.Imm))
+		}
+	case isa.ClassBranch:
+		switch in.Op {
+		case isa.OpBeqz:
+			taken = t.Regs[in.Src1] == 0
+		case isa.OpBnez:
+			taken = t.Regs[in.Src1] != 0
+		case isa.OpJ:
+			taken = true
+		}
+		if taken {
+			next = int(in.Imm)
+		}
+	default:
+		return false, false
+	}
+	t.PC = next
+	t.Executed++
+	return taken, true
 }
 
 func (t *Thread) write(dst uint8, v uint64) {
