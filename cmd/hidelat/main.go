@@ -77,21 +77,6 @@
 // generation cycles, per-cell replay cycles and MCPI, and a determinism
 // checksum of the metrics snapshot.
 //
-// Distributed sweeps: -coordinator ADDR runs a column experiment (fig3,
-// fig4, latency100, issue4, wo, scpf) as a fault-tolerant coordinator that
-// generates the traces locally and serves the replay cells to remote
-// workers over HTTP; workers join with
-//
-//	hidelat worker -join http://HOST:PORT [-id NAME]
-//
-// Cells move through a lease-based queue (a worker that stops heartbeating
-// loses its lease and the cell is reassigned), traces travel through a
-// checksummed content-addressed cache, and the merged output — tables,
-// CSV, metrics, and the ledger's determinism checksum — is byte-identical
-// to a single-process run at any worker count and under any failure
-// schedule. -lease bounds how long a silent worker holds a cell and
-// -queue-max bounds the admission queue (excess requests get 429).
-//
 // Incremental sweeps: -cache DIR (default $HIDELAT_CACHE) memoizes
 // generated traces and per-cell replay results in a persistent
 // content-addressed store, so repeated sweeps only pay for what changed —
@@ -124,6 +109,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -134,7 +120,6 @@ import (
 	"dynsched/internal/consistency"
 	"dynsched/internal/cpu"
 	"dynsched/internal/critpath"
-	"dynsched/internal/dist"
 	"dynsched/internal/exp"
 	"dynsched/internal/obs"
 )
@@ -149,9 +134,6 @@ func main() {
 func run(args []string) error {
 	if len(args) > 0 && args[0] == "diff" {
 		return runDiff(args[1:])
-	}
-	if len(args) > 0 && args[0] == "worker" {
-		return runWorker(args[1:])
 	}
 	if len(args) > 0 && args[0] == "cache" {
 		return runCacheCmd(args[1:])
@@ -177,12 +159,9 @@ func run(args []string) error {
 	progress := fs.Bool("progress", false, "print simulation throughput to stderr every second")
 	serveAddr := fs.String("serve", "", "serve live /metrics, /jobs, /progress, and /debug/pprof on this address while the run executes (e.g. :8080; :0 picks a free port)")
 	ledgerPath := fs.String("ledger", "", "append one JSON-Lines run record (cycles, MCPI, wall time, determinism checksum) to this file")
-	coordAddr := fs.String("coordinator", "", "run the experiment as a distributed sweep coordinator serving workers on this address (host:port; :0 picks a free port); column experiments only")
 	cacheDir := fs.String("cache", os.Getenv("HIDELAT_CACHE"), "persistent result-cache directory: memoize generated traces and replay-cell results across runs (default $HIDELAT_CACHE)")
 	cacheOff := fs.Bool("cache-off", false, "disable the result cache even when -cache or $HIDELAT_CACHE is set")
 	cacheVerify := fs.Float64("cache-verify", 0, "fraction [0,1] of cell cache hits to recompute and compare; a divergence fails the cell hard")
-	leaseDur := fs.Duration("lease", dist.DefaultLease, "distributed mode: how long a silent worker holds a claimed cell before it is reassigned")
-	queueMax := fs.Int("queue-max", dist.DefaultQueueMax, "distributed mode: admission-queue high-water mark; requests beyond it get 429")
 	cpuProfile := fs.String("cpuprofile", "", "write a runtime/pprof CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a runtime/pprof heap profile to this file")
 	version := fs.Bool("version", false, "print the version and exit")
@@ -190,7 +169,6 @@ func run(args []string) error {
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "Usage: hidelat [flags] <experiment>\n")
 		fmt.Fprintf(fs.Output(), "       hidelat diff [-threshold 0.05] [-json] OLD NEW\n")
-		fmt.Fprintf(fs.Output(), "       hidelat worker -join http://HOST:PORT [-id NAME]\n")
 		fmt.Fprintf(fs.Output(), "       hidelat cache [-dir DIR] stats|verify|gc [-max-bytes N]|clear\n\n")
 		fmt.Fprintf(fs.Output(), "Experiments: table1 table2 table3 fig3 fig4 summary delays latency100\n")
 		fmt.Fprintf(fs.Output(), "             issue4 wo scpf resched cachegeom contexts contention\n")
@@ -232,29 +210,22 @@ func run(args []string) error {
 		return fmt.Errorf("-retries must be >= 0, got %d", *retries)
 	case *timeout < 0:
 		return fmt.Errorf("-timeout must be >= 0, got %v", *timeout)
-	case *leaseDur <= 0:
-		return fmt.Errorf("-lease must be > 0, got %v", *leaseDur)
-	case *queueMax < 1:
-		return fmt.Errorf("-queue-max must be >= 1, got %d", *queueMax)
 	case *cacheVerify < 0 || *cacheVerify > 1:
 		return fmt.Errorf("-cache-verify must be in [0,1], got %g", *cacheVerify)
 	}
 	if *cacheVerify > 0 && (*cacheDir == "" || *cacheOff) {
 		return fmt.Errorf("-cache-verify requires an enabled -cache DIR")
 	}
-	// The distributed-mode knobs only mean something with -coordinator, and
-	// the coordinator only shards the column experiments SweepSpecs knows.
-	if *coordAddr == "" {
-		if set["lease"] || set["queue-max"] {
-			return fmt.Errorf("-lease and -queue-max require -coordinator")
-		}
-	} else if _, ok := exp.SweepSpecs(what); !ok {
-		return fmt.Errorf("-coordinator supports the column experiments (fig3, fig4, latency100, issue4, wo, scpf), not %q", what)
-	}
 
 	scale, err := apps.ParseScale(*scaleName)
 	if err != nil {
 		return err
+	}
+	var appNames []string // nil selects the paper's five
+	if *appList != "" {
+		if appNames, err = parseApps(*appList); err != nil {
+			return err
+		}
 	}
 
 	// SIGINT/SIGTERM (and -timeout) cancel the run cooperatively: the
@@ -273,13 +244,11 @@ func run(args []string) error {
 		Scale:       scale,
 		MissPenalty: uint32(*latency),
 		TraceCPU:    *traceCPU,
+		Apps:        appNames,
 		Workers:     *workers,
 		Retries:     *retries,
 		NoTimeSkip:  *noskip,
 		Ctx:         ctx,
-	}
-	if *appList != "" {
-		opts.Apps = strings.Split(*appList, ",")
 	}
 	if *cpuProfile != "" {
 		stop, err := obs.StartCPUProfile(*cpuProfile)
@@ -409,10 +378,6 @@ func run(args []string) error {
 	// the remaining experiments, and the combined failure is reported at
 	// exit. Anything else — including cancellation — stops the dispatch.
 	stepErr := func() error {
-		if *coordAddr != "" {
-			stepName = what
-			return distCoordinate(ctx, e, what, *coordAddr, *leaseDur, *queueMax, opts)
-		}
 		if what != "all" {
 			stepName = what
 			return steps[what](e)
@@ -460,6 +425,26 @@ func run(args []string) error {
 		stepErr = err
 	}
 	return stepErr
+}
+
+// parseApps splits the -apps list and rejects unknown, empty and duplicate
+// names before anything runs: an unknown name would otherwise fail only
+// after every valid application had been simulated, and a duplicate would
+// print its application twice.
+func parseApps(list string) ([]string, error) {
+	known := apps.ExtendedNames()
+	names := strings.Split(list, ",")
+	for i, name := range names {
+		switch {
+		case name == "":
+			return nil, fmt.Errorf("-apps %q: empty application name", list)
+		case !slices.Contains(known, name):
+			return nil, fmt.Errorf("-apps: unknown application %q (have %s)", name, strings.Join(known, ","))
+		case slices.Contains(names[:i], name):
+			return nil, fmt.Errorf("-apps: application %q listed twice", name)
+		}
+	}
+	return names, nil
 }
 
 // runCacheCmd implements `hidelat cache <op>`: maintenance of the
@@ -692,91 +677,6 @@ func timelineCmd(e *exp.Experiment) error {
 	return err
 }
 
-// columnTitles are the table headings of the column experiments, shared by
-// the local step functions and the distributed coordinator so both paths
-// print byte-identical output.
-var columnTitles = map[string]string{
-	"fig3":       "Figure 3: static vs dynamic scheduling under SC/PC/RC (normalized to BASE)",
-	"fig4":       "Figure 4: perfect branch prediction (PBP) and ignored data dependences (ND) under RC",
-	"latency100": "Latency 100: RC window sweep with a 100-cycle miss penalty (§4.2)",
-	"issue4":     "Multiple issue: RC window sweep at 4-wide issue (§4.2)",
-	"wo":         "Weak ordering: DS window sweep under WO (extension)",
-	"scpf":       "SC with non-binding prefetch: DS window sweep (extension, ref [8] / §6)",
-}
-
-// distCoordinate runs one column experiment as the coordinator of a
-// distributed sweep: start the HTTP surface, generate traces locally, feed
-// cells to remote workers, and print the merged columns through the same
-// epilogue a local run uses.
-func distCoordinate(ctx context.Context, e *exp.Experiment, step, addr string, lease time.Duration, queueMax int, opts exp.Options) error {
-	specs, _ := exp.SweepSpecs(step)
-	co := dist.New(dist.Config{
-		Lease:           lease,
-		Retries:         opts.Retries,
-		RetryBackoff:    opts.RetryBackoff,
-		RetryMaxBackoff: opts.RetryMaxBackoff,
-		QueueMax:        queueMax,
-		Board:           opts.Board,
-		Cache:           opts.Cache,
-	})
-	srv, err := dist.StartServer(addr, co)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		sctx, scancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer scancel()
-		srv.Shutdown(sctx)
-	}()
-	fmt.Fprintf(os.Stderr, "hidelat: coordinating %s on http://%s/ (join with: hidelat worker -join http://%s)\n",
-		step, srv.Addr, srv.Addr)
-	acs, err := dist.RunSweep(ctx, e, specs, co)
-	if acs != nil {
-		printColumns(columnTitles[step], acs)
-	}
-	return err
-}
-
-// runWorker implements `hidelat worker -join URL`: claim, replay, and
-// report cells until the coordinator's sweep completes. The loop is safe
-// to kill at any point — an unreported cell is reassigned when its lease
-// expires.
-func runWorker(args []string) error {
-	fs := flag.NewFlagSet("hidelat worker", flag.ContinueOnError)
-	join := fs.String("join", "", "coordinator base URL to claim replay cells from (http://host:port)")
-	id := fs.String("id", "", "worker name reported to the coordinator (default: hostname-pid)")
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "Usage: hidelat worker -join http://HOST:PORT [-id NAME]\n\n"+
-			"Joins a distributed sweep started with hidelat -coordinator, replaying\n"+
-			"cells until the sweep completes. Safe to kill at any point: work the\n"+
-			"worker has not reported is reassigned when its lease expires.\n\nFlags:\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 0 {
-		fs.Usage()
-		return fmt.Errorf("worker: unexpected argument %q", fs.Arg(0))
-	}
-	if *join == "" {
-		fs.Usage()
-		return fmt.Errorf("worker: -join URL is required")
-	}
-	w, err := dist.NewWorker(dist.WorkerConfig{ID: *id, Coordinator: *join})
-	if err != nil {
-		return err
-	}
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	n, err := w.Run(ctx)
-	fmt.Fprintf(os.Stderr, "hidelat: worker %s resolved %d cells\n", w.ID(), n)
-	if errors.Is(err, context.Canceled) {
-		return nil // interrupted by the operator; the coordinator reassigns
-	}
-	return err
-}
-
 // metricsReg collects every experiment's metrics when -metrics-out is set.
 var metricsReg *obs.Registry
 
@@ -824,7 +724,7 @@ func table3(e *exp.Experiment) error {
 func fig3(e *exp.Experiment) error {
 	acs, err := e.Figure3All()
 	if acs != nil {
-		printColumns(columnTitles["fig3"], acs)
+		printColumns("Figure 3: static vs dynamic scheduling under SC/PC/RC (normalized to BASE)", acs)
 	}
 	return err
 }
@@ -832,7 +732,7 @@ func fig3(e *exp.Experiment) error {
 func fig4(e *exp.Experiment) error {
 	acs, err := e.Figure4All()
 	if acs != nil {
-		printColumns(columnTitles["fig4"], acs)
+		printColumns("Figure 4: perfect branch prediction (PBP) and ignored data dependences (ND) under RC", acs)
 	}
 	return err
 }
@@ -858,7 +758,7 @@ func delays(e *exp.Experiment) error {
 func latency100(e *exp.Experiment) error {
 	acs, err := e.WindowSweepAll()
 	if acs != nil {
-		printColumns(columnTitles["latency100"], acs)
+		printColumns("Latency 100: RC window sweep with a 100-cycle miss penalty (§4.2)", acs)
 	}
 	return err
 }
@@ -866,7 +766,7 @@ func latency100(e *exp.Experiment) error {
 func issue4(e *exp.Experiment) error {
 	acs, err := e.Issue4All()
 	if acs != nil {
-		printColumns(columnTitles["issue4"], acs)
+		printColumns("Multiple issue: RC window sweep at 4-wide issue (§4.2)", acs)
 	}
 	return err
 }
@@ -874,7 +774,7 @@ func issue4(e *exp.Experiment) error {
 func wo(e *exp.Experiment) error {
 	acs, err := e.WOAll()
 	if acs != nil {
-		printColumns(columnTitles["wo"], acs)
+		printColumns("Weak ordering: DS window sweep under WO (extension)", acs)
 	}
 	return err
 }
@@ -882,7 +782,7 @@ func wo(e *exp.Experiment) error {
 func scpf(e *exp.Experiment) error {
 	acs, err := e.SCPrefetchAll()
 	if acs != nil {
-		printColumns(columnTitles["scpf"], acs)
+		printColumns("SC with non-binding prefetch: DS window sweep (extension, ref [8] / §6)", acs)
 	}
 	return err
 }

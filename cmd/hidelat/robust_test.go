@@ -46,6 +46,27 @@ func TestCLIFlagValidation(t *testing.T) {
 	}
 }
 
+// TestCLIAppsValidation: a bad -apps entry is a usage error raised before
+// any trace is generated, so nothing reaches stdout.
+func TestCLIAppsValidation(t *testing.T) {
+	cases := []struct {
+		apps, want string
+	}{
+		{"nosuch", `unknown application "nosuch"`},
+		{"lu,", "empty application name"},
+		{"lu,lu", `"lu" listed twice`},
+	}
+	for _, tc := range cases {
+		out, err := captureRun(t, "-scale", "small", "-cpus", "4", "-apps", tc.apps, "fig3")
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("-apps %s: err = %v, want it to say %s", tc.apps, err, tc.want)
+		}
+		if out != "" {
+			t.Errorf("-apps %s printed before rejecting the list:\n%s", tc.apps, out)
+		}
+	}
+}
+
 // TestCLITimeoutCancelsRun drives the full cancellation path: a 1 ns budget
 // expires before any simulation starts, the run exits with a context error,
 // and the ledger still gets a readable record marked interrupted.

@@ -181,7 +181,7 @@ func info(args []string) error {
 		tr.App, tr.CPU, tr.NumCPUs, tr.MissPenalty, tr.Len())
 	if addr, err := tr.ContentAddr(); err == nil {
 		// The FNV-64a over the serialized trace — the identity the result
-		// cache and the distributed coordinator key replays by.
+		// cache keys replays by.
 		fmt.Printf("content address %s (fnv64a of serialized trace)\n", addr)
 	}
 	if st, err := statFile(args[0]); err == nil {

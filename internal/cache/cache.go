@@ -173,7 +173,7 @@ func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.json") }
 
 // Addr returns the content address of (kind, key) under this store's
 // version namespace: the FNV-64a of the full namespaced key, in the same
-// %016x form the distributed coordinator uses for trace addresses.
+// %016x form as a trace's content address (trace.ContentAddr).
 func (s *Store) Addr(kind, key string) string {
 	return addrOf(s.fullKey(kind, key))
 }

@@ -20,9 +20,7 @@ package exp
 //     their cells always compute.
 //
 // The dynsched version namespace lives inside cache.Store (set at Open), so
-// the keys here never embed it; the same helpers serve the in-process
-// scheduler and the distributed coordinator, which is what keeps a
-// coordinator-served cached result byte-identical to a locally computed one.
+// the keys here never embed it.
 
 import (
 	"encoding/json"
@@ -94,18 +92,17 @@ func decodeTraceEntry(payload []byte) (traceSidecar, []byte, error) {
 }
 
 // traceAddrBytes is the content address of serialized trace bytes — the
-// same FNV-64a the distributed coordinator's /traces endpoint uses, so a
-// trace has one identity across the cache, the wire, and tracetool.
+// same FNV-64a as trace.ContentAddr, so a trace has one identity across
+// the cache and tracetool.
 func traceAddrBytes(data []byte) string {
 	h := fnv.New64a()
 	h.Write(data)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// CellKey is the cache key of one replay-cell result: the trace content
-// address plus the serialized spec. Exported so the distributed coordinator
-// and the in-process scheduler address the identical entries.
-func CellKey(traceAddr string, spec CellSpec) string {
+// cellKey is the cache key of one replay-cell result: the trace content
+// address plus the serialized spec.
+func cellKey(traceAddr string, spec CellSpec) string {
 	js, _ := json.Marshal(spec) // CellSpec is a closed struct; cannot fail
 	return "trace=" + traceAddr + "|spec=" + string(js)
 }
@@ -123,7 +120,7 @@ func CellCacheGet(s *cache.Store, traceAddr string, spec CellSpec) (cpu.Breakdow
 	if s == nil || traceAddr == "" {
 		return cpu.Breakdown{}, 0, false
 	}
-	payload, ok := s.Get(cellKind, CellKey(traceAddr, spec))
+	payload, ok := s.Get(cellKind, cellKey(traceAddr, spec))
 	if !ok {
 		return cpu.Breakdown{}, 0, false
 	}
@@ -147,7 +144,7 @@ func CellCachePut(s *cache.Store, traceAddr string, spec CellSpec, b cpu.Breakdo
 	if err != nil {
 		return
 	}
-	s.Put(cellKind, CellKey(traceAddr, spec), payload) //nolint:errcheck
+	s.Put(cellKind, cellKey(traceAddr, spec), payload) //nolint:errcheck
 }
 
 // verifySelected deterministically picks the fraction of cache hits that

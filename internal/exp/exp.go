@@ -85,7 +85,7 @@ type Options struct {
 	RetryBackoff time.Duration
 	// RetryMaxBackoff caps the doubling retry delay; 0 selects
 	// DefaultRetryMaxBackoff. The actual waits are jittered deterministically
-	// per cell (see RetryDelay) and never exceed the cap.
+	// per cell (see retryDelay) and never exceed the cap.
 	RetryMaxBackoff time.Duration
 	// Sleep replaces time.Sleep for the retry backoff waits, letting tests
 	// record and fast-forward the deterministic retry schedule. nil sleeps

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dynsched/internal/apps"
+	"dynsched/internal/cache"
 	"dynsched/internal/consistency"
 	"dynsched/internal/cpu"
 	"dynsched/internal/obs"
@@ -135,15 +136,21 @@ func TestRecordColumns(t *testing.T) {
 // TestJobBoardTracksHarnessWork runs a small figure through the harness with
 // a job board attached and checks that every unit of work — the trace
 // generations and the per-app replay cells — appears on the board and ends
-// in the done state (what the live /jobs endpoint serves).
+// in the done state (what the live /jobs endpoint serves). A second run
+// against the result cache the first one filled must show every job as
+// cached instead.
 func TestJobBoardTracksHarnessWork(t *testing.T) {
+	store, err := cache.Open(t.TempDir(), cache.Options{Version: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	board := obs.NewJobBoard()
 	appNames := []string{"lu", "mp3d"}
-	e := New(Options{
+	opts := Options{
 		NumCPUs: 4, Scale: apps.ScaleSmall, TraceCPU: 1,
-		Apps: appNames, Workers: 4, Board: board,
-	})
-	acs, err := e.Figure3All()
+		Apps: appNames, Workers: 4, Board: board, Cache: store,
+	}
+	acs, err := New(opts).Figure3All()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,6 +175,14 @@ func TestJobBoardTracksHarnessWork(t *testing.T) {
 		if !labels[want] {
 			t.Errorf("board has no job labelled %q; labels: %v", want, labels)
 		}
+	}
+
+	opts.Board = obs.NewJobBoard()
+	if _, err := New(opts).Figure3All(); err != nil {
+		t.Fatal(err)
+	}
+	if st := opts.Board.Status(); st.Cached != len(appNames)*(1+nCells) || st.Done != 0 {
+		t.Errorf("warm run: cached/done = %d/%d, want every one of %d jobs cached", st.Cached, st.Done, len(appNames)*(1+nCells))
 	}
 }
 

@@ -9,6 +9,7 @@ package exp
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -285,40 +286,62 @@ func TestRetryRecoversTransientCellFault(t *testing.T) {
 
 // A failed trace generation fails that application's cells and nothing
 // else, for the figure sweep and both probe sweeps, with the same partial
-// output at any worker count.
+// output at any worker count. The second input also fails one lu cell, so
+// the merge must report a generation failure and a cell failure together,
+// in index order.
 func TestGenerationFailureIsolatedPerApp(t *testing.T) {
 	for _, sw := range faultSweeps {
-		t.Run(sw.name, func(t *testing.T) {
-			render := func(workers int) (string, string) {
-				opts := DefaultOptions()
-				opts.Scale = apps.ScaleSmall
-				opts.Apps = []string{"mp3d", "lu"}
-				opts.Workers = workers
-				opts.Faults = faultinject.New()
-				opts.Faults.Arm("gen.mp3d", faultinject.Fault{Kind: faultinject.KindError})
-				text, failed, err := sw.run(New(opts))
-				var pe *PartialError
-				if !errors.As(err, &pe) {
-					t.Fatalf("workers=%d: err = %v, want *PartialError", workers, err)
+		for _, cellSite := range []string{"", "lu " + sw.infix + "RC-DS64"} {
+			name := sw.name
+			if cellSite != "" {
+				name += "+cell"
+			}
+			t.Run(name, func(t *testing.T) {
+				render := func(workers int) (string, string) {
+					opts := DefaultOptions()
+					opts.Scale = apps.ScaleSmall
+					opts.Apps = []string{"mp3d", "lu"}
+					opts.Workers = workers
+					opts.Faults = faultinject.New()
+					opts.Faults.Arm("gen.mp3d", faultinject.Fault{Kind: faultinject.KindError})
+					if cellSite != "" {
+						opts.Faults.Arm("cell."+cellSite, faultinject.Fault{Kind: faultinject.KindError})
+					}
+					text, failed, err := sw.run(New(opts))
+					var pe *PartialError
+					if !errors.As(err, &pe) {
+						t.Fatalf("workers=%d: err = %v, want *PartialError", workers, err)
+					}
+					wantLabels := []string{"mp3d (trace generation)"}
+					if cellSite != "" {
+						wantLabels = append(wantLabels, cellSite)
+					}
+					if !slices.Equal(pe.FailedLabels(), wantLabels) || pe.Cells[0].Index != 0 {
+						t.Fatalf("workers=%d: wrong failure set: %v (index %d)", workers, pe.FailedLabels(), pe.Cells[0].Index)
+					}
+					slot := -1 // lu's failed cell
+					if cellSite != "" {
+						slot = slices.Index(failed[1], true)
+						if want := len(failed[1]) + slot; slot < 0 || pe.Cells[1].Index != want {
+							t.Errorf("workers=%d: cell failure index %d, want lu's failed slot %d", workers, pe.Cells[1].Index, want)
+						}
+					}
+					checkFailedCells(t, sw.name, workers, opts.Apps, failed, func(a, c int) bool { return a == 0 || c == slot })
+					return text, pe.Error()
 				}
-				if len(pe.Cells) != 1 || pe.Cells[0].Label != "mp3d (trace generation)" || pe.Cells[0].Index != 0 {
-					t.Fatalf("workers=%d: wrong failure set: %v (index %d)", workers, pe.FailedLabels(), pe.Cells[0].Index)
+				serialText, serialErr := render(1)
+				parText, parErr := render(8)
+				if serialText != parText {
+					t.Errorf("partial output differs between Workers=1 and Workers=8:\n--- serial ---\n%s\n--- parallel ---\n%s", serialText, parText)
 				}
-				checkFailedCells(t, sw.name, workers, opts.Apps, failed, func(a, c int) bool { return a == 0 })
-				return text, pe.Error()
-			}
-			serialText, serialErr := render(1)
-			parText, parErr := render(8)
-			if serialText != parText {
-				t.Errorf("partial output differs between Workers=1 and Workers=8:\n--- serial ---\n%s\n--- parallel ---\n%s", serialText, parText)
-			}
-			if serialErr != parErr {
-				t.Errorf("partial error differs between worker counts:\n%s\nvs\n%s", serialErr, parErr)
-			}
-			if sw.name == "fig3" && (strings.Contains(serialText, "mp3d,") || !strings.Contains(serialText, "lu,")) {
-				t.Errorf("CSV must omit failed cells and keep healthy ones:\n%s", serialText)
-			}
-		})
+				if serialErr != parErr {
+					t.Errorf("partial error differs between worker counts:\n%s\nvs\n%s", serialErr, parErr)
+				}
+				if sw.name == "fig3" && (strings.Contains(serialText, "mp3d,") || !strings.Contains(serialText, "lu,")) {
+					t.Errorf("CSV must omit failed cells and keep healthy ones:\n%s", serialText)
+				}
+			})
+		}
 	}
 }
 
@@ -390,8 +413,8 @@ func TestRetryScheduleJitterAndCap(t *testing.T) {
 	}
 	for i, d := range sleeps {
 		a := i + 1
-		if want := RetryDelay(label, a, base, max); d != want {
-			t.Errorf("attempt %d slept %v, want RetryDelay = %v", a, d, want)
+		if want := retryDelay(label, a, base, max); d != want {
+			t.Errorf("attempt %d slept %v, want retryDelay = %v", a, d, want)
 		}
 		exp := base << i
 		if exp > max {

@@ -7,13 +7,12 @@ package exp
 // paper's own methodology uses (one Tango trace, many uniprocessor
 // replays). runMatrix is the one driver every sweep goes through: the
 // figures and window sweeps, the ablations, the analyze and timeline probes
-// and the §7 summary all hand it a list of CellSpecs, and MergeCells
-// assembles the results by cell index — the same merge the distributed
-// coordinator uses. runJobs is the bounded worker pool of the remaining
-// per-application fan-outs. Results are always stored by input index, so
-// every table, figure, and golden artifact is byte-identical regardless of
-// the worker count — including failure output: errors are selected by
-// index, never by completion time.
+// and the §7 summary all hand it a list of CellSpecs, and mergeCells
+// assembles the results by cell index. runJobs is the bounded worker pool
+// of the remaining per-application fan-outs. Results are always stored by
+// input index, so every table, figure, and golden artifact is
+// byte-identical regardless of the worker count — including failure
+// output: errors are selected by index, never by completion time.
 
 import (
 	"fmt"
@@ -21,8 +20,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"dynsched/internal/cpu"
 )
 
 // runJobs executes fn(0..n-1) on at most workers goroutines (0 or negative
@@ -153,7 +150,7 @@ func runMatrix(o *Options, apps []string, gen func(app string) (*AppRun, error),
 		if p == noProbe {
 			if b, n, ok := CellCacheGet(o.Cache, addr, spec); ok {
 				cached = &cellResult{Breakdown: b, Instructions: n}
-				if !verifySelected(o.CacheVerify, CellKey(addr, spec)) {
+				if !verifySelected(o.CacheVerify, cellKey(addr, spec)) {
 					outs[a][c].cellResult = *cached
 					o.Board.FinishCached(bj)
 					return
@@ -251,22 +248,19 @@ func runMatrix(o *Options, apps []string, gen func(app string) (*AppRun, error),
 	if err := ctxDone(o.Ctx); err != nil {
 		return nil, nil, fmt.Errorf("exp: sweep canceled: %w", err)
 	}
-	acs, err := MergeCells(apps, specs, genErrs, func(a, c int) (cpu.Breakdown, uint64, *CellError) {
-		return outs[a][c].Breakdown, outs[a][c].Instructions, cellErrs[a][c]
-	})
+	acs, err := mergeCells(apps, specs, genErrs, outs, cellErrs)
 	return acs, outs, err
 }
 
-// MergeCells assembles a finished apps × specs matrix by cell index
-// (application a's cell c is index a*len(specs)+c) — the one merge shared
-// by the in-process driver and the distributed coordinator, so both produce
-// the same columns and the same failure report. gen[a] is application a's
-// trace-generation failure, which fails all its cells as one entry; cell
-// reports one cell's replayed numbers or its terminal failure. Failed slots
-// keep their configuration identity with zero numbers, each application's
-// columns are normalized against its BASE column, and the failures return,
-// ordered by index, as a *PartialError alongside the columns.
-func MergeCells(apps []string, specs []CellSpec, gen []error, cell func(a, c int) (cpu.Breakdown, uint64, *CellError)) ([]AppColumns, error) {
+// mergeCells assembles a finished apps × specs matrix by cell index
+// (application a's cell c is index a*len(specs)+c). gen[a] is application
+// a's trace-generation failure, which fails all its cells as one entry;
+// outs[a][c] holds one cell's replayed numbers and cellErrs[a][c] its
+// terminal failure. Failed slots keep their configuration identity with
+// zero numbers, each application's columns are normalized against its BASE
+// column, and the failures return, ordered by index, as a *PartialError
+// alongside the columns.
+func mergeCells(apps []string, specs []CellSpec, gen []error, outs [][]cellOutcome, cellErrs [][]*CellError) ([]AppColumns, error) {
 	nc := len(specs)
 	out := make([]AppColumns, len(apps))
 	var failed []*CellError
@@ -281,10 +275,8 @@ func MergeCells(apps []string, specs []CellSpec, gen []error, cell func(a, c int
 			cols[c] = spec.column()
 			ce := genCE
 			if ce == nil {
-				var b cpu.Breakdown
-				var n uint64
-				if b, n, ce = cell(a, c); ce == nil {
-					cols[c].Breakdown, cols[c].Instructions = b, n
+				if ce = cellErrs[a][c]; ce == nil {
+					cols[c].Breakdown, cols[c].Instructions = outs[a][c].Breakdown, outs[a][c].Instructions
 					continue
 				}
 				failed = append(failed, ce)

@@ -1,14 +1,12 @@
 package exp
 
 // Cell specifications. CellSpec is the one cell type of the harness: a
-// closed, wire-encodable description of a replay configuration that covers
+// closed, JSON-encodable description of a replay configuration that covers
 // every sweep — the figure matrices, the window sweeps, the ablations and
 // the attribution probes. Because a spec is plain data it has a stable
-// identity, so every spec-built cell can be cached (CellKey) and shipped to
-// a remote worker (internal/dist), and the replay builds its own predictor
-// from the spec, so no two cells ever share mutable state. A coordinator
-// shipping Figure3Specs() to remote workers replays exactly the cells
-// Figure3All runs locally, and the merged results are byte-identical.
+// identity, so every spec-built cell can be cached (cellKey), and the
+// replay builds its own predictor from the spec, so no two cells ever
+// share mutable state.
 
 import (
 	"fmt"
@@ -26,7 +24,7 @@ import (
 // the paper's experiments use. The zero value of each knob means "leave the
 // default", so a spec round-trips through JSON without loss, and a knob
 // left at zero is omitted from the encoding — adding a knob never changes
-// the CellKey of a spec that does not use it.
+// the cellKey of a spec that does not use it.
 type CellSpec struct {
 	Label          string `json:"label"`
 	Arch           string `json:"arch"`  // "BASE", "SSBR", "SS", "DS"
@@ -41,13 +39,13 @@ type CellSpec struct {
 	BTBEntries     int    `json:"btb_entries,omitempty"`     // 4-way BTB; 0 = paper BTB
 }
 
-// maxSpecSize bounds the size knobs of a wire spec, so a hostile or
-// corrupt value cannot make a worker allocate without limit. The window
-// takes the replay's own bound, cpu.MaxWindow.
+// maxSpecSize bounds the size knobs of a spec, so a corrupt value cannot
+// make a replay allocate without limit. The window takes the replay's own
+// bound, cpu.MaxWindow.
 const maxSpecSize = 1 << 20
 
-// Validate rejects specs that could not have come from a spec constructor —
-// the coordinator and worker both call it before trusting a wire value.
+// Validate rejects specs that could not have come from a spec constructor.
+// Every replay and SpecColumn call it before trusting a spec.
 func (s CellSpec) Validate() error {
 	if _, err := cpu.ParseArch(s.Arch); err != nil {
 		return fmt.Errorf("exp: spec %q: %w", s.Label, err)
@@ -274,32 +272,11 @@ func btbSpecs() []CellSpec {
 	})
 }
 
-// SweepSpecs maps a distributable experiment step name to its cell specs.
-// The step names match the hidelat experiments; ok is false for the
-// per-application ablations and for steps that are not cell sweeps.
-func SweepSpecs(step string) (specs []CellSpec, ok bool) {
-	switch step {
-	case "fig3":
-		return Figure3Specs(), true
-	case "fig4":
-		return Figure4Specs(), true
-	case "latency100":
-		return WindowSweepSpecs(consistency.RC), true
-	case "issue4":
-		return Issue4Specs(), true
-	case "wo":
-		return WindowSweepSpecs(consistency.WO), true
-	case "scpf":
-		return SCPrefetchSpecs(), true
-	}
-	return nil, false
-}
-
-// RunSpec replays one cell spec over tr — the distributed worker's replay
-// entry point. Replay is a pure function of the trace and the spec (the
-// harness options contribute only cancellation and the time-skip toggle,
-// neither of which changes results), so the returned column is
-// byte-identical to running the same cell in-process on the coordinator.
+// RunSpec replays one cell spec over tr outside a sweep — the entry point
+// of perfbench's per-layer timing. Replay is a pure function of the trace
+// and the spec (the harness options contribute only cancellation and the
+// time-skip toggle, neither of which changes results), so the returned
+// column is byte-identical to the same cell of a sweep.
 func RunSpec(tr *trace.Trace, spec CellSpec, o *Options) (Column, error) {
 	if o == nil {
 		o = new(Options)
@@ -314,9 +291,7 @@ func RunSpec(tr *trace.Trace, spec CellSpec, o *Options) (Column, error) {
 }
 
 // SpecColumn reconstructs a successful cell's column from the spec identity
-// plus the replayed numbers — what the coordinator does with a worker's
-// result, keeping the identity fields under its own control rather than
-// trusting the wire.
+// plus the replayed numbers, as a cache hit does.
 func SpecColumn(spec CellSpec, b cpu.Breakdown, instructions uint64) (Column, error) {
 	if err := spec.Validate(); err != nil {
 		return Column{}, err
@@ -327,7 +302,6 @@ func SpecColumn(spec CellSpec, b cpu.Breakdown, instructions uint64) (Column, er
 }
 
 // NormalizeColumns fills the Normalized and ReadHidden fields of a finished
-// column set against cols[0] (the BASE reference) — exported for the
-// distributed coordinator, which merges worker results by index and then
-// normalizes exactly as the local scheduler does.
+// column set against cols[0] (the BASE reference), exactly as the sweep
+// driver does.
 func NormalizeColumns(cols []Column) { normalize(cols) }

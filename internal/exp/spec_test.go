@@ -1,8 +1,8 @@
 package exp
 
-// Tests for CellSpec, the harness's one cell type: the wire check every
-// coordinator and worker applies, the JSON round trip of every spec list,
-// and the stability of the cache keys specs address.
+// Tests for CellSpec, the harness's one cell type: the validity check
+// every replay applies, the JSON round trip of every spec list, and the
+// stability of the cache keys specs address.
 
 import (
 	"encoding/json"
@@ -81,8 +81,8 @@ func TestCellSpecValidateRejects(t *testing.T) {
 
 // TestCellSpecListsRoundTrip checks every constructor's specs: valid,
 // uniquely labelled within their sweep (the label keys fault sites, board
-// jobs and failures), and unchanged by a JSON round trip — what crossing
-// the distributed wire does to them.
+// jobs and failures), and unchanged by a JSON round trip, which cellKey
+// relies on.
 func TestCellSpecListsRoundTrip(t *testing.T) {
 	for name, specs := range allSpecLists() {
 		seen := make(map[string]bool, len(specs))
@@ -121,7 +121,7 @@ func TestCellKeyPinned(t *testing.T) {
 		}
 	}
 	const want = `trace=0123456789abcdef|spec={"label":"RC-DS64","arch":"DS","model":"RC","window":64}`
-	if got := CellKey("0123456789abcdef", spec); got != want {
-		t.Errorf("CellKey = %s\nwant     %s", got, want)
+	if got := cellKey("0123456789abcdef", spec); got != want {
+		t.Errorf("cellKey = %s\nwant     %s", got, want)
 	}
 }

@@ -9,7 +9,7 @@ package obs
 // Finished-job retention is bounded: once more than the retention cap of
 // jobs have finished, the oldest finished entries are evicted from the
 // detailed list (their outcomes stay counted in the Done/Failed summary
-// counters), so a long-lived serve or coordinator process holds at most the
+// counters), so a long-lived -serve process holds at most the
 // cap plus the live jobs no matter how many sweeps it has run. Queued and
 // running jobs are never evicted.
 //

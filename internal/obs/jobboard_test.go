@@ -1,7 +1,7 @@
 package obs
 
-// Tests for the job board's bounded finished-job retention: long-lived
-// serve/coordinator processes must not grow without bound, yet the summary
+// Tests for the job board's bounded finished-job retention: a long-lived
+// -serve process must not grow without bound, yet the summary
 // counters must keep every outcome and live jobs must never be evicted.
 
 import (

@@ -1,7 +1,7 @@
 package obs
 
-// Tests for the ledger under concurrent appenders — the distributed-sweep
-// scenario where a coordinator and a local run share one -ledger file. Each
+// Tests for the ledger under concurrent appenders — two hidelat runs
+// sharing one -ledger file. Each
 // record goes out in a single O_APPEND write, so concurrent appenders must
 // never interleave within a record, and a crash can tear at most the final
 // line, which ReadLedger drops. Meaningful under -race.

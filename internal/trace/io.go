@@ -146,10 +146,8 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 
 // ContentAddr returns the trace's content address: the FNV-64a of its
 // serialization, formatted as 16 hex digits. Encoding is
-// byte-deterministic, so this is the same address the distributed
-// coordinator computes over the bytes it serves from /traces/{addr} and
-// the address the result cache keys cell entries by — one identity for a
-// trace's content everywhere it travels.
+// byte-deterministic, so this is the address the result cache keys cell
+// entries by — one identity for a trace's content everywhere.
 func (t *Trace) ContentAddr() (string, error) {
 	h := fnv.New64a()
 	if _, err := t.WriteTo(h); err != nil {
