@@ -12,6 +12,7 @@ import (
 
 	"dynsched/internal/consistency"
 	"dynsched/internal/isa"
+	"dynsched/internal/obs"
 	"dynsched/internal/trace"
 )
 
@@ -127,6 +128,42 @@ func TestLongTracePinnedGrid(t *testing.T) {
 		}
 	}
 	checkGolden(t, "long_trace_grid.txt", got.Bytes())
+}
+
+// TestMetricsSnapshotPinned pins the full metrics snapshot — the JSON that
+// -metrics-out writes — of every model on random traces: the result
+// counters and gauges and every occupancy and read-miss delay histogram,
+// bucket by bucket with its sum. The configurations cover the default RC
+// window, SC with prefetch at a large window, and the cycle-stepped path,
+// whose histograms are observed one cycle at a time where the time-skip
+// path observes whole quiet stretches at once.
+func TestMetricsSnapshotPinned(t *testing.T) {
+	reg := obs.NewRegistry()
+	for seed := int64(1); seed <= 2; seed++ {
+		tr := randomTrace(seed, 3000)
+		for _, c := range []struct {
+			name string
+			cfg  Config
+		}{
+			{"RC-W64", Config{Model: consistency.RC, Window: 64}},
+			{"SC-W256-prefetch", Config{Model: consistency.SC, Window: 256, Prefetch: true}},
+			{"RC-W64-noskip", Config{Model: consistency.RC, Window: 64, NoTimeSkip: true}},
+		} {
+			for _, arch := range Archs {
+				cfg := c.cfg
+				cfg.Metrics = reg
+				cfg.MetricsPrefix = fmt.Sprintf("seed%d.%s.%s.", seed, c.name, arch)
+				if _, err := replay(arch, tr, cfg); err != nil {
+					t.Fatalf("seed %d %s %s: %v", seed, c.name, arch, err)
+				}
+			}
+		}
+	}
+	var got bytes.Buffer
+	if err := reg.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "metrics_snapshot.json", got.Bytes())
 }
 
 // longLivedTrace keeps single accesses live while thousands of younger
