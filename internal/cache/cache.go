@@ -171,17 +171,12 @@ func (s *Store) scan(fromIndex map[string]entryMeta) error {
 
 func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.json") }
 
-// Addr returns the content address of (kind, key) under this store's
-// version namespace: the FNV-64a of the full namespaced key, in the same
-// %016x form as a trace's content address (trace.ContentAddr).
-func (s *Store) Addr(kind, key string) string {
-	return addrOf(s.fullKey(kind, key))
-}
-
 func (s *Store) fullKey(kind, key string) string {
 	return "v=" + s.version + "|" + kind + "|" + key
 }
 
+// addrOf is the content address of a namespaced key: its FNV-64a, in the
+// same %016x form as a trace's content address (trace.ContentAddr).
 func addrOf(fullKey string) string {
 	h := fnv.New64a()
 	io.WriteString(h, fullKey)

@@ -73,11 +73,13 @@ type account struct {
 
 	// Occupancy integrals (Σ per-cycle occupancy) of the model's three
 	// structures, the occupancies of the latest cycle, and the optional
-	// histograms that observe them.
-	occ     [3]uint64
-	lastOcc [3]uint64
-	hist    [3]*obs.HistogramBatch
-	metrics bool
+	// histograms that observe them, published to reg under histName at
+	// finish.
+	occ      [3]uint64
+	lastOcc  [3]uint64
+	hist     [3]*obs.LocalHistogram
+	histName [3]string
+	reg      *obs.Registry
 
 	cp *critpath.Collector
 	tl *obs.Timeline
@@ -88,11 +90,12 @@ func newAccount(cfg *Config) account {
 }
 
 // histogram makes the account observe structure i's occupancy into a
-// registry histogram (a no-op without Config.Metrics).
+// histogram it publishes at finish (a no-op without Config.Metrics).
 func (a *account) histogram(cfg *Config, i int, name string, buckets []uint64) {
 	if cfg.Metrics != nil {
-		a.hist[i] = cfg.Metrics.HistogramBatch(obs.Prefixed(cfg.MetricsPrefix, name), buckets...)
-		a.metrics = true
+		a.hist[i] = obs.NewLocalHistogram(buckets...)
+		a.histName[i] = obs.Prefixed(cfg.MetricsPrefix, name)
+		a.reg = cfg.Metrics
 	}
 }
 
@@ -158,7 +161,7 @@ func (a *account) occupy(o [3]uint64) {
 	for i := range o {
 		a.occ[i] += o[i]
 	}
-	if a.metrics {
+	if a.reg != nil {
 		a.observe(1)
 	}
 }
@@ -194,7 +197,7 @@ func (a *account) repeat(n, instr uint64) {
 	for i, o := range a.lastOcc {
 		a.occ[i] += o * n
 	}
-	if a.metrics {
+	if a.reg != nil {
 		a.observe(n)
 	}
 }
@@ -245,15 +248,16 @@ func (a *account) breakdown() Breakdown {
 }
 
 // finish seals the accounting when the replay ends at cycle with instr
-// instructions done, and returns the Breakdown.
+// instructions done, publishes the occupancy histograms, and returns the
+// Breakdown.
 func (a *account) finish(cycle, instr uint64) Breakdown {
 	bd := a.breakdown()
 	if a.tl != nil {
 		a.tl.Finish(a.point(cycle, instr, stall{}, 0))
 	}
 	a.cp.Finish(bd.Total())
-	for _, h := range a.hist {
-		h.Close()
+	for i, h := range a.hist {
+		a.reg.MergeHistogram(a.histName[i], h)
 	}
 	return bd
 }

@@ -63,51 +63,6 @@ func (b Breakdown) String() string {
 		b.Total(), b.Busy, b.Sync, b.Read, b.Write, b.Branch, b.Other)
 }
 
-// DelayHistogram buckets the decode-to-issue delay of read misses, the
-// §4.1.3 diagnostic ("one such result measures the delay of each read miss
-// from the time the instruction is decoded ... to the time the read is
-// issued to memory").
-type DelayHistogram struct {
-	Bounds []uint64 // bucket upper bounds (inclusive); last bucket is open
-	Counts []uint64
-	Total  uint64
-}
-
-// NewDelayHistogram returns a histogram with the paper-relevant bounds.
-func NewDelayHistogram() *DelayHistogram {
-	return &DelayHistogram{
-		Bounds: []uint64{0, 10, 20, 30, 40, 50, 100},
-		Counts: make([]uint64, 8),
-	}
-}
-
-// Observe records one delay sample.
-func (h *DelayHistogram) Observe(d uint64) {
-	h.Total++
-	for i, b := range h.Bounds {
-		if d <= b {
-			h.Counts[i]++
-			return
-		}
-	}
-	h.Counts[len(h.Bounds)]++
-}
-
-// FractionAbove returns the fraction of samples strictly greater than bound.
-func (h *DelayHistogram) FractionAbove(bound uint64) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	var above uint64
-	for i, b := range h.Bounds {
-		if b > bound {
-			above += h.Counts[i]
-		}
-	}
-	above += h.Counts[len(h.Bounds)]
-	return float64(above) / float64(h.Total)
-}
-
 // Result is the outcome of replaying a trace through a processor model.
 type Result struct {
 	Breakdown    Breakdown
@@ -121,9 +76,12 @@ type Result struct {
 	// still occupy window slots.
 	AvgOccupancy float64
 
-	// ReadMissDelay is the decode-to-issue delay histogram for read misses
-	// (DS only; nil for the other models).
-	ReadMissDelay *DelayHistogram
+	// ReadMissDelay is the histogram of the decode-to-issue delay of read
+	// misses, the §4.1.3 diagnostic ("one such result measures the delay of
+	// each read miss from the time the instruction is decoded ... to the
+	// time the read is issued to memory"). DS only; nil for the other
+	// models.
+	ReadMissDelay *obs.LocalHistogram
 }
 
 // CPI returns cycles per instruction.

@@ -196,7 +196,7 @@ func runDS(src *Source, cfg Config) (Result, error) {
 		fetchBlockedBy = -1
 		mispredicts    uint64
 		prefetches     uint64
-		hist           = NewDelayHistogram()
+		hist           = obs.NewLocalHistogram(delayBuckets...)
 		t              uint64
 	)
 	defer func() {
@@ -211,18 +211,14 @@ func runDS(src *Source, cfg Config) (Result, error) {
 
 	// The account keeps the burst-retirement credit stack and integrates
 	// the occupancy of the ROB, the store buffer and the outstanding MSHRs.
-	// Occupancy/delay histograms when metrics are on are batched per run so
-	// the hot loop never touches the shared registry. The batches are
-	// registry-registered, so a snapshot taken mid-run (live /metrics,
-	// -metrics-out on error) still sees their pending samples.
+	// With metrics on it also histograms them. Those histograms and the
+	// read-miss delay histogram are the run's own: the hot loop never
+	// touches the shared registry, and they are published once, when the
+	// replay finishes, so a failed or cancelled replay publishes none.
 	acct.credits, acct.runs = true, scratch.runs
 	acct.histogram(&cfg, 0, "rob.occupancy", occupancyBuckets)
 	acct.histogram(&cfg, 1, "storebuf.occupancy", bufferBuckets)
 	acct.histogram(&cfg, 2, "mshr.outstanding", bufferBuckets)
-	var delayHist *obs.HistogramBatch
-	if cfg.Metrics != nil {
-		delayHist = cfg.Metrics.HistogramBatch(obs.Prefixed(cfg.MetricsPrefix, "readmiss.issue_delay"), delayBuckets...)
-	}
 	at := func(seq int) *dsEntry { return &entries[seq&mask] }
 	inROB := func(seq int) bool {
 		return seq >= 0 && seq >= headSeq && seq < nextSeq && at(seq).seq == seq
@@ -533,7 +529,7 @@ func runDS(src *Source, cfg Config) (Result, error) {
 		}
 
 		// Phase 4: the cache port issues at most one memory access.
-		memActive := issueMem(port, t, &cfg, &evq, &outMiss, hist, delayHist, &prefetches)
+		memActive := issueMem(port, t, &cfg, &evq, &outMiss, hist, &prefetches)
 
 		// Phase 5: decode up to IssueWidth instructions into the ROB.
 		for n := 0; n < cfg.IssueWidth; n++ {
@@ -683,7 +679,6 @@ func runDS(src *Source, cfg Config) (Result, error) {
 	if t > 0 {
 		res.AvgOccupancy = float64(acct.occ[0]) / float64(t)
 	}
-	delayHist.Close()
 	cfg.Progress.Publish(uint64(headSeq), t)
 	publishResult(&cfg, res)
 	return res, nil
@@ -713,7 +708,7 @@ func makeReady(e *dsEntry, dispatch *seqHeap, port *memPort) {
 // It reports whether it changed machine state (issued an access or started
 // a prefetch) — an idle port is one of the conditions for a cycle to be a
 // time-skip fixed point.
-func issueMem(port *memPort, t uint64, cfg *Config, evq *eventHeap, outMiss *int, hist *DelayHistogram, delayHist *obs.HistogramBatch, prefetches *uint64) bool {
+func issueMem(port *memPort, t uint64, cfg *Config, evq *eventHeap, outMiss *int, hist *obs.LocalHistogram, prefetches *uint64) bool {
 	if len(port.cands) == 0 {
 		return false
 	}
@@ -765,7 +760,6 @@ func issueMem(port *memPort, t uint64, cfg *Config, evq *eventHeap, outMiss *int
 			}
 			if m.kind == consistency.Load && m.miss && !forwarded {
 				hist.Observe(t - m.decodedAt)
-				delayHist.Observe(t - m.decodedAt)
 			}
 			m.performAt = t + lat
 			evq.push(dsEvent{at: m.performAt, kind: evPerform, seq: m.seq})

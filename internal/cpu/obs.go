@@ -1,8 +1,9 @@
 package cpu
 
 // Metrics publication shared by the processor models. Each replay core
-// calls publishResult on exit when Config.Metrics is set; occupancy and
-// delay histograms are observed live inside the cycle loops.
+// calls publishResult when it finishes; the account publishes its
+// occupancy histograms just before. Nothing is published while a replay
+// runs, so a replay that fails publishes nothing.
 
 import "dynsched/internal/obs"
 
@@ -17,8 +18,8 @@ var (
 
 // publishResult registers a replay's aggregate outcome into
 // cfg.Metrics under cfg.MetricsPrefix: the Figure 3 stall breakdown as
-// counters plus instruction, mispredict, and prefetch totals. Safe with a
-// nil registry.
+// counters plus instruction, mispredict, and prefetch totals, and the
+// read-miss delay histogram. Safe with a nil registry.
 func publishResult(cfg *Config, res Result) {
 	reg, prefix := cfg.Metrics, cfg.MetricsPrefix
 	if reg == nil {
@@ -36,6 +37,7 @@ func publishResult(cfg *Config, res Result) {
 	set("instructions", res.Instructions)
 	set("branch.mispredicts", res.Mispredicts)
 	set("prefetches", res.Prefetches)
+	reg.MergeHistogram(obs.Prefixed(prefix, "readmiss.issue_delay"), res.ReadMissDelay)
 	if res.AvgOccupancy > 0 {
 		reg.Gauge(obs.Prefixed(prefix, "rob.avg_occupancy")).Set(res.AvgOccupancy)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dynsched/internal/consistency"
+	"dynsched/internal/obs"
 	"dynsched/internal/trace"
 )
 
@@ -126,6 +127,70 @@ func TestReplayCtxCancellation(t *testing.T) {
 		c.Ctx = context.Background()
 		if _, err := replay(arch, tr, c); err != nil {
 			t.Fatalf("background ctx broke the replay: %v", err)
+		}
+	}
+}
+
+// cancelAfter is a context that is cancelled at its polls-th Done poll, so
+// a replay is cancelled deterministically partway through.
+type cancelAfter struct {
+	context.Context
+	polls int
+	done  chan struct{}
+}
+
+func (c *cancelAfter) Done() <-chan struct{} {
+	if c.polls--; c.polls == 0 {
+		close(c.done)
+	}
+	return c.done
+}
+
+func (c *cancelAfter) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// A replay that does not finish publishes no metrics: its occupancy and
+// read-miss delay histograms are its own until it finishes. Neither a
+// replay cancelled partway through nor one killed by the watchdog
+// publishes any, while the same replay left to finish does.
+func TestReplayCtxCancelPublishesNothing(t *testing.T) {
+	long, stalled := randomTrace(1, 50000), stallTrace(1<<22)
+	for _, arch := range []Arch{ArchSSBR, ArchSS, ArchDS} {
+		c := cfg(consistency.RC, 64)
+		c.NoTimeSkip = true
+		c.Metrics = obs.NewRegistry()
+		c.Ctx = &cancelAfter{Context: context.Background(), polls: 3, done: make(chan struct{})}
+		if _, err := replay(arch, long, c); !errors.Is(err, context.Canceled) || strings.Contains(err.Error(), "at cycle 0:") {
+			t.Fatalf("%s: err = %v, want a cancellation partway through", arch, err)
+		}
+		if names := c.Metrics.Names(); len(names) != 0 {
+			t.Errorf("%s: cancelled replay published %v", arch, names)
+		}
+
+		c = cfg(consistency.SC, 64)
+		c.Metrics = obs.NewRegistry()
+		c.WatchdogBudget = 100
+		var wd *WatchdogError
+		if _, err := replay(arch, stalled, c); !errors.As(err, &wd) {
+			t.Fatalf("%s: err = %v, want *WatchdogError", arch, err)
+		}
+		if names := c.Metrics.Names(); len(names) != 0 {
+			t.Errorf("%s: replay killed by the watchdog published %v", arch, names)
+		}
+
+		c = cfg(consistency.RC, 64)
+		c.Metrics = obs.NewRegistry()
+		if _, err := replay(arch, long, c); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(c.Metrics.Snapshot().Histograms); n == 0 {
+			t.Errorf("%s: finished replay published no histogram", arch)
 		}
 	}
 }

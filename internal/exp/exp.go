@@ -521,7 +521,7 @@ func (e *Experiment) ReadHiddenSummary() (map[int]float64, map[string]map[int]fl
 // ReadMissDelays reproduces the §4.1.3 diagnostic: the distribution of
 // decode-to-issue delays for read misses at window 64 with perfect branch
 // prediction under RC.
-func ReadMissDelays(tr *trace.Trace) (*cpu.DelayHistogram, error) {
+func ReadMissDelays(tr *trace.Trace) (*obs.LocalHistogram, error) {
 	res, err := cpu.Replay(cpu.ArchDS, cpu.TraceSource(tr), cpu.Config{
 		Model:     consistency.RC,
 		Window:    64,

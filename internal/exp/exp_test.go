@@ -532,10 +532,10 @@ func TestBaseMatchesLatencyBound(t *testing.T) {
 	}
 }
 
-// The bandwidth settings generate concurrently, so the metrics snapshot
-// must come from one of them regardless of which finishes last: the
-// unbounded-bandwidth generation, the same one every other experiment
-// publishes for the application.
+// The regenerating sweeps generate their settings concurrently, so the
+// metrics snapshot must come from one of them regardless of which finishes
+// last: the setting of the base options, which is the same generation
+// every other experiment publishes for the application.
 func TestContentionMetricsDeterministic(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Scale = apps.ScaleSmall
@@ -545,14 +545,26 @@ func TestContentionMetricsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := obs.SnapshotFNV(opts.Metrics.Snapshot())
-	for _, workers := range []int{1, 4, 4} {
-		opts.Workers = workers
-		opts.Metrics = obs.NewRegistry()
-		if _, err := Contention("mp3d", opts); err != nil {
-			t.Fatal(err)
-		}
-		if got := obs.SnapshotFNV(opts.Metrics.Snapshot()); got != want {
-			t.Errorf("-j %d: contention metrics checksum %s, want the unbounded generation's %s", workers, got, want)
-		}
+	for _, sweep := range []struct {
+		name string
+		run  func(string, Options) error
+	}{
+		{"contention", func(app string, o Options) error { _, err := Contention(app, o); return err }},
+		{"machines", func(app string, o Options) error { _, err := MachineSweep(app, o); return err }},
+		{"cachegeom", func(app string, o Options) error { _, err := AblationCacheSize(app, o); return err }},
+	} {
+		t.Run(sweep.name, func(t *testing.T) {
+			for _, workers := range []int{1, 4} {
+				o := opts
+				o.Workers = workers
+				o.Metrics = obs.NewRegistry()
+				if err := sweep.run("mp3d", o); err != nil {
+					t.Fatal(err)
+				}
+				if got := obs.SnapshotFNV(o.Metrics.Snapshot()); got != want {
+					t.Errorf("-j %d: metrics checksum %s, want the base generation's %s", workers, got, want)
+				}
+			}
+		})
 	}
 }

@@ -1,15 +1,12 @@
 // Package faultinject is the deterministic fault-injection harness behind
-// the robustness tests: it lets a test arm panics, errors, artificial
-// slowness, and byte corruption at named sites inside the experiment
-// pipeline, then assert that the surrounding layers contain the failure —
-// a panicking cell must not crash the sweep, a slow cell must be cut off by
-// the caller's context, and corrupted artifact bytes must be rejected by
-// checksums rather than silently deserialized.
+// the robustness tests: it lets a test arm panics and errors at named sites
+// inside the experiment pipeline, then assert that the surrounding layers
+// contain the failure — a panicking cell must not crash the sweep, and a
+// failing generation must fail only its own application's cells.
 //
 // Injection is fully deterministic: a fault fires on exactly the first
-// Times calls to Fire for its site (no randomness, no time dependence), and
-// CorruptByte flips a byte chosen by an FNV hash of the site name, so every
-// run of a fault-injection test exercises the identical failure.
+// Times calls to Fire for its site (no randomness, no time dependence), so
+// every run of a fault-injection test exercises the identical failure.
 //
 // A nil *Injector is inert and every hook is nil-safe, so production code
 // paths carry injection sites at the cost of a nil check.
@@ -17,9 +14,7 @@ package faultinject
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
-	"time"
 )
 
 // Kind selects what happens when an armed fault fires.
@@ -30,9 +25,6 @@ const (
 	KindError Kind = iota
 	// KindPanic makes Fire panic with an *InjectedError.
 	KindPanic
-	// KindSlow makes Fire sleep for the fault's Delay, then return nil —
-	// the "livelocked cell" simulation used by timeout and watchdog tests.
-	KindSlow
 )
 
 func (k Kind) String() string {
@@ -41,8 +33,6 @@ func (k Kind) String() string {
 		return "error"
 	case KindPanic:
 		return "panic"
-	case KindSlow:
-		return "slow"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -66,8 +56,6 @@ type Fault struct {
 	// Times is how many Fire calls trigger the fault before it disarms;
 	// 0 means 1 (fire once).
 	Times int
-	// Delay is the sleep duration for KindSlow faults.
-	Delay time.Duration
 }
 
 type armed struct {
@@ -99,9 +87,9 @@ func (in *Injector) Arm(site string, f Fault) {
 	in.sites[site] = &armed{fault: f}
 }
 
-// Fire triggers the fault armed at site, if any: it panics, returns an
-// error, or sleeps according to the fault's Kind. Once a fault has fired
-// Times times it disarms and Fire returns nil. Nil-safe.
+// Fire triggers the fault armed at site, if any: it panics or returns an
+// error according to the fault's Kind. Once a fault has fired Times times
+// it disarms and Fire returns nil. Nil-safe.
 func (in *Injector) Fire(site string) error {
 	if in == nil {
 		return nil
@@ -119,15 +107,10 @@ func (in *Injector) Fire(site string) error {
 	}
 	a.fired++
 	err := &InjectedError{Site: site, Kind: a.fault.Kind, N: a.fired}
-	delay := a.fault.Delay
 	in.mu.Unlock()
 
-	switch err.Kind {
-	case KindPanic:
+	if err.Kind == KindPanic {
 		panic(err)
-	case KindSlow:
-		time.Sleep(delay)
-		return nil
 	}
 	return err
 }
@@ -157,21 +140,4 @@ func (in *Injector) Seen(site string) int {
 		return a.seen
 	}
 	return 0
-}
-
-// CorruptByte deterministically flips one bit of b in place and returns the
-// affected offset: the byte index and bit are chosen by an FNV-64a hash of
-// site, so the same site name always corrupts the same position of an
-// equally sized buffer. It returns -1 (and leaves b untouched) when b is
-// empty.
-func CorruptByte(site string, b []byte) int {
-	if len(b) == 0 {
-		return -1
-	}
-	h := fnv.New64a()
-	h.Write([]byte(site))
-	sum := h.Sum64()
-	off := int(sum % uint64(len(b)))
-	b[off] ^= 1 << (sum >> 8 & 7)
-	return off
 }

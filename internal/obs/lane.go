@@ -43,14 +43,6 @@ func (p *Progress) Lane(label string) *Lane {
 	return l
 }
 
-// Label returns the lane's label ("" on a nil receiver).
-func (l *Lane) Label() string {
-	if l == nil {
-		return ""
-	}
-	return l.label
-}
-
 // Publish stores the lane's absolute progress; simulation loops call it
 // every few thousand steps (two atomic stores). Safe on a nil receiver.
 func (l *Lane) Publish(instrs, cycles uint64) {

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -57,12 +58,67 @@ func TestNilSafety(t *testing.T) {
 	if p.Len() != 0 {
 		t.Error("nil pipe tracer recorded")
 	}
+	var lh *LocalHistogram
+	lh.Observe(1)
+	lh.ObserveN(1, 5)
+	r.MergeHistogram("x", NewLocalHistogram(1))
+	NewRegistry().MergeHistogram("x", nil)
 	var pr *Progress
-	pr.SetLabel("x")
-	pr.Publish(1, 1)
-	pr.Add(1, 1)
+	pr.Lane("x").Publish(1, 1)
 	pr.Start()
 	pr.Stop()
+}
+
+func TestLocalHistogram(t *testing.T) {
+	h := NewLocalHistogram(10, 20, 50)
+	for _, v := range []uint64{1, 10, 11, 20, 21, 50, 51} {
+		h.Observe(v)
+	}
+	h.ObserveN(1000, 3)
+	h.ObserveN(5, 0)
+	if h.Total != 10 || h.Sum != 1+10+11+20+21+50+51+3000 {
+		t.Fatalf("total, sum = %d, %d", h.Total, h.Sum)
+	}
+	want := []uint64{2, 2, 2, 4} // (0,10], (10,20], (20,50], >50
+	for i, w := range want {
+		if h.Counts[i] != w {
+			t.Errorf("bucket %d = %d, want %d", i, h.Counts[i], w)
+		}
+	}
+	if f := h.Fraction(0); f != 0.2 {
+		t.Errorf("Fraction(0) = %v, want 0.2", f)
+	}
+	if f := h.FractionAbove(20); f != 0.6 {
+		t.Errorf("FractionAbove(20) = %v, want 0.6", f)
+	}
+	if s, want := h.String(), "(0,10]:  20% (10,20]:  20% (20,50]:  20% >50:  40%"; s != want {
+		t.Errorf("String() = %q, want %q", s, want)
+	}
+	empty := NewLocalHistogram(10)
+	if empty.Fraction(0) != 0 || empty.FractionAbove(0) != 0 {
+		t.Error("empty histogram fractions should be zero")
+	}
+}
+
+// A merged run-local histogram adds to the registry's, bucket for bucket,
+// and registers the name on first use even with no samples.
+func TestMergeHistogram(t *testing.T) {
+	r := NewRegistry()
+	a := NewLocalHistogram(1, 4)
+	a.ObserveN(3, 2)
+	b := NewLocalHistogram(1, 4)
+	b.Observe(9)
+	r.MergeHistogram("h", a)
+	r.MergeHistogram("h", b)
+	r.MergeHistogram("empty", NewLocalHistogram(1, 4))
+	s := r.Snapshot()
+	h := s.Histograms["h"]
+	if h.Total != 3 || h.Sum != 15 || h.Mean != 5 || fmt.Sprint(h.Counts) != "[0 2 1]" {
+		t.Errorf("merged histogram = %+v", h)
+	}
+	if e, ok := s.Histograms["empty"]; !ok || e.Total != 0 || len(e.Counts) != 3 {
+		t.Errorf("empty merge = %+v, %v; want a registered zero histogram", e, ok)
+	}
 }
 
 func TestHistogramBucketEdges(t *testing.T) {

@@ -1,14 +1,11 @@
 package obs
 
-// Progress is the run-level ticker: simulation loops publish their absolute
-// instruction and cycle counts, and a background goroutine periodically
-// prints throughput (instructions/sec of wall time, simulated cycles/sec)
-// and an ETA when a total is known. A nil *Progress is a no-op, so the hot
-// loops call Publish unconditionally.
-//
-// Concurrent simulations each publish into their own Lane (see lane.go); the
-// ticker prints one row per live lane plus an aggregate total, instead of
-// letting parallel workers clobber a single shared label.
+// Progress is the run-level ticker: each simulation publishes its absolute
+// instruction and cycle counts into its own Lane (see lane.go), and a
+// background goroutine periodically prints throughput (instructions/sec of
+// wall time, simulated cycles/sec) and an ETA when a total is known, one row
+// per live lane plus an aggregate total. A nil *Progress hands out nil
+// lanes, which are no-ops, so the hot loops publish unconditionally.
 
 import (
 	"fmt"
@@ -22,11 +19,10 @@ import (
 type Progress struct {
 	out      io.Writer
 	interval time.Duration
-	label    atomic.Value // string: current phase label (legacy single-lane mode)
 
-	instrs atomic.Uint64 // absolute instructions: direct publishes + retired lanes
-	cycles atomic.Uint64 // absolute simulated cycles, likewise
-	total  atomic.Uint64 // expected instructions (0 = unknown)
+	instrs atomic.Uint64 // instructions of the retired lanes
+	cycles atomic.Uint64 // simulated cycles of the retired lanes
+	total  atomic.Uint64 // expected instructions of the retired lanes (0 = unknown)
 
 	start     time.Time
 	running   atomic.Bool
@@ -45,50 +41,7 @@ func NewProgress(w io.Writer, interval time.Duration) *Progress {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	p := &Progress{out: w, interval: interval}
-	p.label.Store("")
-	return p
-}
-
-// SetLabel names the current phase (e.g. the application being simulated)
-// for the aggregate row. Concurrent simulations should prefer per-label
-// lanes (Progress.Lane), which cannot clobber each other. Safe on a nil
-// receiver.
-func (p *Progress) SetLabel(label string) {
-	if p == nil {
-		return
-	}
-	p.label.Store(label)
-}
-
-// SetTotal declares the expected aggregate instruction count, enabling the
-// ETA. Safe on a nil receiver.
-func (p *Progress) SetTotal(n uint64) {
-	if p == nil {
-		return
-	}
-	p.total.Store(n)
-}
-
-// Publish stores the absolute progress of the running simulation. Simulation
-// loops call it every few thousand steps; it is two atomic stores. Safe on a
-// nil receiver.
-func (p *Progress) Publish(instrs, cycles uint64) {
-	if p == nil {
-		return
-	}
-	p.instrs.Store(instrs)
-	p.cycles.Store(cycles)
-}
-
-// Add increments the absolute counters; used by drivers that aggregate
-// several sequential simulations. Safe on a nil receiver.
-func (p *Progress) Add(instrs, cycles uint64) {
-	if p == nil {
-		return
-	}
-	p.instrs.Add(instrs)
-	p.cycles.Add(cycles)
+	return &Progress{out: w, interval: interval}
 }
 
 // Start launches the reporting goroutine. Safe on a nil receiver.
@@ -223,10 +176,8 @@ func (p *Progress) report(final bool) {
 	if final || dt <= 0 {
 		ips, cps = uint64(float64(instrs)/elapsed), uint64(float64(cycles)/elapsed)
 	}
-	label := p.label.Load().(string)
-	if label != "" {
-		label = " [" + label + "]"
-	} else if len(rows) > 0 || len(finished) > 0 {
+	label := ""
+	if len(rows) > 0 || len(finished) > 0 {
 		label = " [total]"
 	}
 	line := fmt.Sprintf("progress%s: %s instrs (%s/s), %s sim cycles (%s/s)",

@@ -8,12 +8,13 @@ import (
 )
 
 // TestServeMetricsConcurrentScrape hammers /metrics while simulator workers
-// stream samples into registered HistogramBatch/CounterBatch buffers. Every
-// scrape triggers FlushBatches under the snapshot, so this exercises the
-// batch drain racing the owners' Observe/Add; under -race it doubles as the
-// data-race proof. Each response must be a well-formed exposition (the
-// parser rejects duplicate names, bad grammar, malformed samples), and once
-// the writers stop, a final scrape must account for every sample exactly.
+// finish runs: each run fills its own LocalHistogram and publishes it, and
+// its cycle count, into the same shared names when it ends, exactly as the
+// replay models and tango do. The scrapes race those merges; under -race it
+// doubles as the data-race proof. Each response must be a well-formed
+// exposition (the parser rejects duplicate names, bad grammar, malformed
+// samples), and once the writers stop, a final scrape must account for
+// every sample exactly.
 func TestServeMetricsConcurrentScrape(t *testing.T) {
 	r := NewRegistry()
 	srv := httptest.NewServer(NewServeMux(ServerState{Registry: r, Version: "test"}))
@@ -21,8 +22,10 @@ func TestServeMetricsConcurrentScrape(t *testing.T) {
 
 	const (
 		writers    = 4
-		perWriter  = 5000
+		runs       = 50
+		perRun     = 100
 		scrapes    = 25
+		perWriter  = runs * perRun
 		histBounds = 8
 	)
 	var wg sync.WaitGroup
@@ -30,17 +33,13 @@ func TestServeMetricsConcurrentScrape(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			hb := r.HistogramBatch("cpu.scrape.occupancy", 1, 2, 4, histBounds)
-			cb := r.CounterBatch("cpu.scrape.cycles")
-			defer hb.Close()
-			defer cb.Close()
-			for i := 0; i < perWriter; i++ {
-				hb.Observe(uint64(i % (histBounds + 2)))
-				cb.Inc()
-				if i%64 == 0 {
-					hb.Flush()
-					cb.Flush()
+			for run := 0; run < runs; run++ {
+				h := NewLocalHistogram(1, 2, 4, histBounds)
+				for i := 0; i < perRun; i++ {
+					h.Observe(uint64(i % (histBounds + 2)))
 				}
+				r.MergeHistogram("cpu.scrape.occupancy", h)
+				r.Counter("cpu.scrape.cycles").Add(perRun)
 			}
 		}(w)
 	}
@@ -85,7 +84,7 @@ func TestServeMetricsConcurrentScrape(t *testing.T) {
 		}
 	}
 
-	// After the writers close their batches, the totals are exact.
+	// After the writers finish their runs, the totals are exact.
 	final := parseExposition(t, scrape())
 	if got := final["dynsched_cpu_scrape_cycles"]; got != writers*perWriter {
 		t.Errorf("final counter = %v, want %d", got, writers*perWriter)

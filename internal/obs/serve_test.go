@@ -272,47 +272,6 @@ func TestStartServerEphemeralPort(t *testing.T) {
 	}
 }
 
-// TestSnapshotFlushesBatches: pending registry-registered batch data must be
-// visible to Snapshot (and therefore to /metrics) without an explicit Flush.
-func TestSnapshotFlushesBatches(t *testing.T) {
-	r := NewRegistry()
-	hb := r.HistogramBatch("h", 1, 2)
-	hb.Observe(1)
-	hb.Observe(5)
-	cb := r.CounterBatch("c")
-	cb.Add(3)
-
-	s := r.Snapshot()
-	if got := s.Histograms["h"].Total; got != 2 {
-		t.Errorf("snapshot histogram total = %d, want 2 (batch not flushed)", got)
-	}
-	if got := s.Counters["c"]; got != 3 {
-		t.Errorf("snapshot counter = %d, want 3 (batch not flushed)", got)
-	}
-
-	// After Close the batch is unregistered: later observations stay local
-	// until flushed by hand, and Snapshot must not double-count old data.
-	hb.Close()
-	cb.Close()
-	s = r.Snapshot()
-	if got := s.Histograms["h"].Total; got != 2 {
-		t.Errorf("after Close: histogram total = %d, want 2", got)
-	}
-	if got := s.Counters["c"]; got != 3 {
-		t.Errorf("after Close: counter = %d, want 3", got)
-	}
-
-	// Nil-safety of the registry-level constructors and hook.
-	var nilReg *Registry
-	nb := nilReg.HistogramBatch("x", 1)
-	nb.Observe(1)
-	nb.Close()
-	ncb := nilReg.CounterBatch("y")
-	ncb.Inc()
-	ncb.Close()
-	nilReg.FlushBatches()
-}
-
 func readAll(t *testing.T, resp *http.Response) string {
 	t.Helper()
 	var b strings.Builder

@@ -57,6 +57,32 @@ func TestMaxCyclesQuietOnHealthyRun(t *testing.T) {
 	}
 }
 
+// TestMaxCyclesPublishesNothing: a generation stopped by the cycle budget
+// publishes no metrics, the write-buffer backlog histogram included, while
+// the same run left to finish publishes it with every store observed.
+func TestMaxCyclesPublishesNothing(t *testing.T) {
+	progs := same(2, lockCounter(0x1000, 0x2000, 200))
+	cfg := cfgN(2, 0)
+	cfg.Metrics = obs.NewRegistry()
+	cfg.MaxCycles = 2000
+	_, err := Run(progs, nil, cfg)
+	var me *MachineError
+	if !errors.As(err, &me) || me.Reason != "cycle budget" {
+		t.Fatalf("err = %v, want a cycle budget *MachineError", err)
+	}
+	if names := cfg.Metrics.Names(); len(names) != 0 {
+		t.Errorf("stopped generation published %v", names)
+	}
+
+	cfg.Metrics, cfg.MaxCycles = obs.NewRegistry(), 0
+	if _, err := Run(progs, nil, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if h, ok := cfg.Metrics.Snapshot().Histograms["tango.writebuf.backlog_cycles"]; !ok || h.Total != 2*200 {
+		t.Errorf("finished generation backlog histogram = %+v, %v; want one sample per store", h, ok)
+	}
+}
+
 func TestDeadlockCarriesMachineState(t *testing.T) {
 	hb := asm.NewBuilder("hog")
 	lk := hb.Alloc()

@@ -78,8 +78,9 @@ type Config struct {
 
 	// Metrics, when non-nil, receives the machine-level counters after the
 	// run: per-CPU cache miss/upgrade/invalidation counts, synchronization
-	// wait and transfer cycles, write-buffer drain cycles, and whole-machine
-	// totals, all under MetricsPrefix.
+	// wait and transfer cycles, write-buffer drain cycles, whole-machine
+	// totals and the write-buffer backlog histogram, all under
+	// MetricsPrefix. A run that fails publishes nothing.
 	Metrics *obs.Registry
 	// MetricsPrefix names this run's metrics (default "tango."); harnesses
 	// that run several applications into one registry disambiguate with
@@ -350,7 +351,7 @@ type sim struct {
 	memNextFree uint64 // earliest time the memory system accepts a new miss
 
 	// Observability (all optional; see Config.Metrics / Config.Progress).
-	wbHist   *obs.HistogramBatch // store-time write-buffer backlog, in cycles (merged once per run)
+	wbHist   *obs.LocalHistogram // store-time write-buffer backlog, in cycles (published at the end of the run)
 	steps    uint64              // instructions executed machine-wide
 	pubSteps uint64              // steps already published to Progress
 	pubCycle uint64              // latest global time published to Progress
@@ -372,6 +373,9 @@ func Run(progs []*asm.Program, memInit func(m *vm.PagedMem), cfg Config) (*Resul
 	if cfg.MaxInstrs == 0 {
 		cfg.MaxInstrs = 1 << 40
 	}
+	if cfg.MetricsPrefix == "" {
+		cfg.MetricsPrefix = "tango."
+	}
 
 	caches, err := mem.NewSystem(cfg.NumCPUs, cfg.Mem)
 	if err != nil {
@@ -391,11 +395,7 @@ func Run(progs []*asm.Program, memInit func(m *vm.PagedMem), cfg Config) (*Resul
 		barriers: make(map[int64]*barrierState),
 	}
 	if cfg.Metrics != nil {
-		if cfg.MetricsPrefix == "" {
-			cfg.MetricsPrefix = "tango."
-		}
-		s.wbHist = cfg.Metrics.HistogramBatch(cfg.MetricsPrefix+"writebuf.backlog_cycles",
-			0, 1, 2, 5, 10, 25, 50, 100, 250)
+		s.wbHist = obs.NewLocalHistogram(0, 1, 2, 5, 10, 25, 50, 100, 250)
 	}
 	s.rec = make([]*trace.Builder, cfg.NumCPUs)
 	for i := range s.rec {
@@ -476,14 +476,16 @@ func (s *sim) publishProgress(now uint64) {
 	s.pubSteps = s.steps
 }
 
-// publishMetrics exports the run's per-CPU and machine-level counters into
-// Config.Metrics under the "tango." prefix. No-op without a registry.
+// publishMetrics exports the run's per-CPU and machine-level counters and
+// its write-buffer backlog histogram into Config.Metrics under
+// Config.MetricsPrefix. It runs only when the run completes, so a failed run
+// publishes nothing. No-op without a registry.
 func (s *sim) publishMetrics(res *Result) {
-	s.wbHist.Close()
 	reg := s.cfg.Metrics
 	if reg == nil {
 		return
 	}
+	reg.MergeHistogram(s.cfg.MetricsPrefix+"writebuf.backlog_cycles", s.wbHist)
 	var instrs, misses, accesses uint64
 	for i, p := range s.procs {
 		pre := fmt.Sprintf("%scpu%02d.", s.cfg.MetricsPrefix, i)

@@ -1,83 +1,17 @@
 package trace
 
 import (
-	"fmt"
-	"strings"
-
 	"dynsched/internal/isa"
+	"dynsched/internal/obs"
 )
-
-// Histogram is a simple bucketed distribution used by the trace analyses.
-type Histogram struct {
-	Bounds []uint64 // inclusive upper bounds; an implicit open bucket follows
-	Counts []uint64
-	Total  uint64
-}
-
-// NewHistogram creates a histogram with the given bucket bounds.
-func NewHistogram(bounds ...uint64) *Histogram {
-	return &Histogram{Bounds: bounds, Counts: make([]uint64, len(bounds)+1)}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v uint64) {
-	h.Total++
-	for i, b := range h.Bounds {
-		if v <= b {
-			h.Counts[i]++
-			return
-		}
-	}
-	h.Counts[len(h.Bounds)]++
-}
-
-// Fraction returns the fraction of samples in bucket i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.Total)
-}
-
-// FractionBetween returns the fraction of samples v with lo < v <= hi,
-// where lo and hi must be existing bucket bounds (or 0 / infinity).
-func (h *Histogram) FractionBetween(lo, hi uint64) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	var n uint64
-	prev := uint64(0)
-	for i, b := range h.Bounds {
-		if b > lo && b <= hi {
-			n += h.Counts[i]
-		}
-		prev = b
-	}
-	if hi > prev { // include the open bucket
-		n += h.Counts[len(h.Bounds)]
-	}
-	return float64(n) / float64(h.Total)
-}
-
-// String renders the histogram as percentage per bucket.
-func (h *Histogram) String() string {
-	var sb strings.Builder
-	prev := uint64(0)
-	for i, b := range h.Bounds {
-		fmt.Fprintf(&sb, "(%d,%d]:%4.0f%% ", prev, b, 100*h.Fraction(i))
-		prev = b
-	}
-	fmt.Fprintf(&sb, ">%d:%4.0f%%", prev, 100*h.Fraction(len(h.Bounds)))
-	return sb.String()
-}
 
 // ReadMissDistances returns the distribution of distances, in dynamic
 // instructions, between consecutive read misses — the §4.1.3 diagnostic
 // ("our detailed simulation data for LU show that 90% of the read misses
 // are a distance of 20-30 instructions apart"). The distance between two
 // independent misses bounds the window size needed to overlap them.
-func (t *Trace) ReadMissDistances() *Histogram {
-	h := NewHistogram(10, 16, 20, 30, 50, 100)
+func (t *Trace) ReadMissDistances() *obs.LocalHistogram {
+	h := obs.NewLocalHistogram(10, 16, 20, 30, 50, 100)
 	last := -1
 	for i := range t.Events {
 		e := &t.Events[i]

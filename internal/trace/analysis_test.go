@@ -7,35 +7,36 @@ import (
 	"dynsched/internal/isa"
 )
 
+// TestHistogramBuckets checks the bucket edges of the read-miss distance
+// histogram: each bound is an inclusive upper bound, and distances beyond
+// the last one land in the open bucket.
 func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram(10, 20, 50)
-	for _, v := range []uint64{1, 10, 11, 20, 21, 50, 51, 1000} {
-		h.Observe(v)
-	}
-	if h.Total != 8 {
-		t.Fatalf("total = %d, want 8", h.Total)
-	}
-	want := []uint64{2, 2, 2, 2} // (0,10], (10,20], (20,50], >50
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Errorf("bucket %d = %d, want %d", i, h.Counts[i], w)
+	for _, c := range []struct {
+		gap    int
+		bucket int
+	}{
+		{10, 0}, {11, 1}, {16, 1}, {17, 2}, {30, 3}, {31, 4}, {100, 5}, {101, 6},
+	} {
+		h := distanceTrace(3, c.gap).ReadMissDistances()
+		if h.Total != 2 || h.Counts[c.bucket] != 2 {
+			t.Errorf("gap %d: counts %v (total %d), want both distances in bucket %d", c.gap, h.Counts, h.Total, c.bucket)
 		}
 	}
-	if f := h.Fraction(0); f != 0.25 {
-		t.Errorf("Fraction(0) = %v, want 0.25", f)
-	}
-	if f := h.FractionBetween(10, 50); f != 0.5 {
-		t.Errorf("FractionBetween(10,50) = %v, want 0.5", f)
-	}
-	if s := h.String(); !strings.Contains(s, "(0,10]") || !strings.Contains(s, ">50") {
+	s := distanceTrace(3, 10).ReadMissDistances().String()
+	if !strings.HasPrefix(s, "(0,10]: 100% (10,16]:   0%") || !strings.HasSuffix(s, ">100:   0%") {
 		t.Errorf("String() = %q", s)
 	}
 }
 
+// TestHistogramEmpty: a trace with one read miss has no distances, and the
+// histogram renders as all zero.
 func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(10)
-	if h.Fraction(0) != 0 || h.FractionBetween(0, 10) != 0 {
-		t.Error("empty histogram fractions should be zero")
+	h := distanceTrace(1, 10).ReadMissDistances()
+	if h.Total != 0 || h.Fraction(0) != 0 || h.FractionAbove(10) != 0 {
+		t.Errorf("one-miss trace: total %d, fractions %v %v; want zero", h.Total, h.Fraction(0), h.FractionAbove(10))
+	}
+	if s := h.String(); strings.Count(s, "   0%") != 7 {
+		t.Errorf("String() = %q, want every bucket at 0%%", s)
 	}
 }
 
@@ -67,7 +68,7 @@ func TestReadMissDistances(t *testing.T) {
 		t.Fatalf("9 gaps expected, got %d", h.Total)
 	}
 	// All distances are 25: bucket (20,30].
-	if f := h.FractionBetween(20, 30); f != 1 {
+	if f := h.Fraction(3); f != 1 {
 		t.Errorf("all distances should be in (20,30]: got %v (%s)", f, h)
 	}
 }
