@@ -81,7 +81,9 @@
 // generated traces and per-cell replay results in a persistent
 // content-addressed store, so repeated sweeps only pay for what changed —
 // a warm run's stdout and ledger determinism checksum are byte-identical
-// to the cold run that populated the store. -cache-off disables the store
+// to the cold run that populated the store. The analyze and timeline steps
+// attach the same instruments, so they share one cached replay per cell:
+// whichever runs second replays nothing. -cache-off disables the store
 // for one run; -cache-verify P recomputes fraction P of the hits from
 // scratch and fails the run on any divergence. The store is maintained
 // with

@@ -155,15 +155,16 @@ func (a *account) credit(excess, width int) {
 // of the most recent stall, the wait it sat through (busy before any).
 func (a *account) edgeLast() { a.cp.Edge(a.last.cause) }
 
-// occupy adds one cycle's structure occupancies.
-func (a *account) occupy(o [3]uint64) {
-	a.lastOcc = o
-	for i := range o {
-		a.occ[i] += o[i]
-	}
-	if a.reg != nil {
-		a.observe(1)
-	}
+// occupy adds one cycle's structure occupancies: the window, the store
+// buffer and the outstanding misses. It runs once per stepped cycle, so it
+// stays within the inliner's budget: three scalars rather than an array,
+// and the histograms left to the caller, which observes the cycle with
+// observe(1) when the account has them (reg != nil).
+func (a *account) occupy(window, storeBuf, mshr uint64) {
+	a.lastOcc = [3]uint64{window, storeBuf, mshr}
+	a.occ[0] += window
+	a.occ[1] += storeBuf
+	a.occ[2] += mshr
 }
 
 // observe observes n cycles at the latest occupancies into the histograms.

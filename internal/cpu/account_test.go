@@ -34,7 +34,10 @@ func newAccountArm(credits bool) *accountArm {
 func (a *accountArm) step(t uint64, s stall, occ [3]uint64, instr uint64) {
 	a.acct.sample(t, instr)
 	a.acct.charge(s, 1)
-	a.acct.occupy(occ)
+	a.acct.occupy(occ[0], occ[1], occ[2])
+	if a.acct.reg != nil {
+		a.acct.observe(1)
+	}
 }
 
 // TestBulkChargeMatchesRepeatedCharges is the property the time-skip and

@@ -508,7 +508,10 @@ func runDS(src *Source, cfg Config) (Result, error) {
 				acct.credit(retired-cfg.IssueWidth, cfg.IssueWidth)
 			}
 		}
-		acct.occupy([3]uint64{uint64(nextSeq - headSeq), uint64(sbCount), uint64(outMiss)})
+		acct.occupy(uint64(nextSeq-headSeq), uint64(sbCount), uint64(outMiss))
+		if acct.reg != nil {
+			acct.observe(1)
+		}
 		if cfg.Progress != nil && t&(obs.PublishEvery-1) == 0 {
 			cfg.Progress.Publish(uint64(headSeq), t)
 		}

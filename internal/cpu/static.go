@@ -455,7 +455,10 @@ func runStatic(src *Source, cfg Config, nonBlockingReads bool) (Result, error) {
 			dog.last = t
 		}
 
-		acct.occupy([3]uint64{uint64(len(win.ops)), uint64(wbCount), uint64(rbCount)})
+		acct.occupy(uint64(len(win.ops)), uint64(wbCount), uint64(rbCount))
+		if acct.reg != nil {
+			acct.observe(1)
+		}
 		if cfg.Progress != nil && t&(obs.PublishEvery-1) == 0 {
 			cfg.Progress.Publish(uint64(idx), t)
 		}

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Cause is a fine-grained critical-path cycle (or edge) classification.
@@ -217,6 +218,14 @@ func (a Attribution) DominantStall() Cause {
 	return best
 }
 
+// attributionJSON is the encoded form of an Attribution: buckets keyed by
+// cause name, zero buckets omitted.
+type attributionJSON struct {
+	Total  uint64            `json:"total_cycles"`
+	Cycles map[string]uint64 `json:"cycles"`
+	Edges  map[string]uint64 `json:"edges,omitempty"`
+}
+
 // MarshalJSON renders the attribution with cause-named buckets rather than
 // positional arrays, so JSON consumers do not depend on enum order.
 func (a Attribution) MarshalJSON() ([]byte, error) {
@@ -230,11 +239,31 @@ func (a Attribution) MarshalJSON() ([]byte, error) {
 			edges[c.String()] = a.Edges[c]
 		}
 	}
-	return json.Marshal(struct {
-		Total  uint64            `json:"total_cycles"`
-		Cycles map[string]uint64 `json:"cycles"`
-		Edges  map[string]uint64 `json:"edges,omitempty"`
-	}{a.Total, cycles, edges})
+	return json.Marshal(attributionJSON{a.Total, cycles, edges})
+}
+
+// UnmarshalJSON is MarshalJSON's inverse; a bucket naming no cause is an
+// error.
+func (a *Attribution) UnmarshalJSON(data []byte) error {
+	var js attributionJSON
+	if err := json.Unmarshal(data, &js); err != nil {
+		return err
+	}
+	out := Attribution{Total: js.Total}
+	for _, b := range []struct {
+		names map[string]uint64
+		dst   *[NumCauses]uint64
+	}{{js.Cycles, &out.Cycles}, {js.Edges, &out.Edges}} {
+		for name, n := range b.names {
+			c := slices.Index(causeNames[:], name)
+			if c < 0 {
+				return fmt.Errorf("critpath: unknown cause %q", name)
+			}
+			b.dst[c] = n
+		}
+	}
+	*a = out
+	return nil
 }
 
 // FlameCell names one attribution for the flamegraph export.

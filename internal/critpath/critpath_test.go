@@ -80,6 +80,31 @@ func TestAttributionJSON(t *testing.T) {
 	}
 }
 
+// TestAttributionJSONRoundTrip: UnmarshalJSON restores exactly what
+// MarshalJSON wrote, and rejects a bucket that names no cause.
+func TestAttributionJSONRoundTrip(t *testing.T) {
+	var a Attribution
+	a.Total = 1000
+	for c := Cause(0); c < NumCauses; c++ {
+		a.Cycles[c] = uint64(c) * 7 // Busy stays zero, so omitted
+		a.Edges[c] = uint64(NumCauses-c) % 3
+	}
+	b, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Attribution
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatalf("unmarshal %s: %v", b, err)
+	}
+	if got != a {
+		t.Errorf("round-trip = %+v, want %+v", got, a)
+	}
+	if err := json.Unmarshal([]byte(`{"total_cycles":1,"cycles":{"nosuch":1}}`), &got); err == nil {
+		t.Error("an unknown cause name decoded")
+	}
+}
+
 func TestWriteFlame(t *testing.T) {
 	c := NewCollector()
 	c.StallN(ReadLat, 25)

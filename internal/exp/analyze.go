@@ -49,11 +49,12 @@ type AnalyzeReport struct {
 
 // AnalyzeAll replays the attribution matrix (analyzeSpecs) for every
 // application through the matrix driver, each cell with its own critical-
-// path collector. Failure containment is the driver's: a failed generation
+// path collector and sampler, or reads the cells from the probe entries a
+// previous analyze or timeline sweep left in the store. Failure containment is the driver's: a failed generation
 // marks the application's cells, a failed cell is marked without disturbing
 // its neighbours, and partial results return a *PartialError.
 func (e *Experiment) AnalyzeAll() (*AnalyzeReport, error) {
-	acs, outs, err := runMatrix(&e.opts, e.Apps(), e.Run, analyzeSpecs(), critPathProbe)
+	acs, outs, err := runMatrix(&e.opts, e.Apps(), e.lazyRun, analyzeSpecs(), "analyze")
 	if acs == nil {
 		return nil, err
 	}
@@ -66,7 +67,7 @@ func (e *Experiment) AnalyzeAll() (*AnalyzeReport, error) {
 				cells[c].Failed, cells[c].Err, cells[c].Error = true, col.Err, col.Err.Error()
 				continue
 			}
-			cells[c].Breakdown, cells[c].Instructions, cells[c].Attr = col.Breakdown, col.Instructions, outs[a][c].attr
+			cells[c].Breakdown, cells[c].Instructions, cells[c].Attr = col.Breakdown, col.Instructions, outs[a][c].Attr
 		}
 		rep.Apps[a] = AnalyzeApp{App: ac.App, Cells: cells}
 	}

@@ -9,20 +9,24 @@ package exp
 //     couples the serialized v3 trace with a JSON sidecar holding the
 //     multiprocessor statistics and the metrics fragment the generation
 //     published, so a warm run restores everything a cold run produces —
-//     including the registry contents the determinism checksum hashes.
+//     including the registry contents the determinism checksum hashes. A
+//     restored trace's container checks run on read, but its events are
+//     decoded only when a cell misses or a table reads them.
 //   - Replay-cell results, keyed by (trace content address, cell spec).
 //     A replay is a pure function of those two (see RunSpec), and the
 //     published Column is fully reconstructed from the spec plus the
-//     breakdown and instruction count, so that pair is the entire payload.
-//     Every cell is a CellSpec — the figure matrices, the window sweeps and
-//     the ablations alike — so every unprobed cell is cached; the analyze
-//     and timeline probes' instruments are not part of the payload, so
-//     their cells always compute.
+//     breakdown and instruction count, so that pair is the entire payload
+//     of a plain cell entry. Every cell is a CellSpec — the figure
+//     matrices, the window sweeps and the ablations alike — so every cell
+//     is cached. The analyze and timeline probes attach the same
+//     instruments, so their cells share a probe entry under the same key,
+//     whose payload adds the attribution and the sampled series.
 //
 // The dynsched version namespace lives inside cache.Store (set at Open), so
 // the keys here never embed it.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -39,6 +43,7 @@ import (
 const (
 	traceKind = "trace"
 	cellKind  = "cell"
+	probeKind = "probe"
 )
 
 // traceKey digests every generation input that can change the produced
@@ -115,36 +120,72 @@ type cellResult struct {
 	Instructions uint64        `json:"instructions"`
 }
 
-// CellCacheGet looks up a cached cell result. Safe on a nil store.
-func CellCacheGet(s *cache.Store, traceAddr string, spec CellSpec) (cpu.Breakdown, uint64, bool) {
-	if s == nil || traceAddr == "" {
-		return cpu.Breakdown{}, 0, false
+// entry returns the cache kind and payload of a cell outcome: the bare
+// cellResult for a plain cell, the whole outcome — attribution and
+// samples included — for a probed one.
+func (p probe) entry(out cellOutcome) (kind string, payload []byte, err error) {
+	if p == noProbe {
+		payload, err = json.Marshal(out.cellResult)
+		return cellKind, payload, err
 	}
-	payload, ok := s.Get(cellKind, cellKey(traceAddr, spec))
-	if !ok {
-		return cpu.Breakdown{}, 0, false
-	}
-	var res cellResult
-	if err := json.Unmarshal(payload, &res); err != nil {
-		// The CRC matched, so this is a schema change, not corruption;
-		// recompute and overwrite.
-		return cpu.Breakdown{}, 0, false
-	}
-	return res.Breakdown, res.Instructions, true
+	payload, err = json.Marshal(out)
+	return probeKind, payload, err
 }
 
-// CellCachePut stores one computed cell result. Safe on a nil store; errors
+// cellGet looks up the cached outcome of spec over the trace at traceAddr,
+// of the entry kind p replays. Safe on a nil store.
+func cellGet(s *cache.Store, p probe, traceAddr string, spec CellSpec) (cellOutcome, bool) {
+	var out cellOutcome
+	if s == nil || traceAddr == "" {
+		return out, false
+	}
+	kind, dst := probeKind, any(&out)
+	if p == noProbe {
+		kind, dst = cellKind, &out.cellResult
+	}
+	payload, ok := s.Get(kind, cellKey(traceAddr, spec))
+	if !ok {
+		return out, false
+	}
+	if err := json.Unmarshal(payload, dst); err != nil {
+		// The CRC matched, so this is a schema change, not corruption;
+		// recompute and overwrite.
+		return cellOutcome{}, false
+	}
+	return out, true
+}
+
+// cellPut stores one computed cell outcome. Safe on a nil store; errors
 // are deliberately dropped — a failed Put degrades to a future recompute,
 // never fails a sweep.
-func CellCachePut(s *cache.Store, traceAddr string, spec CellSpec, b cpu.Breakdown, instructions uint64) {
+func cellPut(s *cache.Store, p probe, traceAddr string, spec CellSpec, out cellOutcome) {
 	if s == nil || traceAddr == "" {
 		return
 	}
-	payload, err := json.Marshal(cellResult{Breakdown: b, Instructions: instructions})
+	kind, payload, err := p.entry(out)
 	if err != nil {
 		return
 	}
-	s.Put(cellKind, cellKey(traceAddr, spec), payload) //nolint:errcheck
+	s.Put(kind, cellKey(traceAddr, spec), payload) //nolint:errcheck
+}
+
+// sameOutcome reports whether a recomputed outcome matches a cached one in
+// everything the entry stores, compared by encoding.
+func (p probe) sameOutcome(fresh, cached cellOutcome) bool {
+	_, a, errA := p.entry(fresh)
+	_, b, errB := p.entry(cached)
+	return errA == nil && errB == nil && bytes.Equal(a, b)
+}
+
+// CellCacheGet looks up a cached cell result. Safe on a nil store.
+func CellCacheGet(s *cache.Store, traceAddr string, spec CellSpec) (cpu.Breakdown, uint64, bool) {
+	out, ok := cellGet(s, noProbe, traceAddr, spec)
+	return out.Breakdown, out.Instructions, ok
+}
+
+// CellCachePut stores one computed cell result. Safe on a nil store.
+func CellCachePut(s *cache.Store, traceAddr string, spec CellSpec, b cpu.Breakdown, instructions uint64) {
+	cellPut(s, noProbe, traceAddr, spec, cellOutcome{cellResult: cellResult{Breakdown: b, Instructions: instructions}})
 }
 
 // verifySelected deterministically picks the fraction of cache hits that

@@ -213,4 +213,6 @@ func TestCacheVerifyDetectsPoisonedCell(t *testing.T) {
 	if st := poisoned.Stats(); st.Divergent == 0 {
 		t.Fatalf("divergence not counted: %+v", st)
 	}
+
+	t.Run("probe", verifyPoisonedProbes)
 }

@@ -66,7 +66,8 @@ type Options struct {
 	Board *obs.JobBoard
 	// Timelines, when non-nil, receives a live interval-sampled timeline
 	// per simulation this harness runs — trace generations ("gen <app>")
-	// and the cells of the timeline sweep ("<app> <label>") — feeding the
+	// and the replayed cells of the analyze and timeline sweeps ("<app>
+	// <label>"; a cell served from the store registers none) — feeding the
 	// live server's /timeline endpoint and SSE /events stream.
 	Timelines *obs.TimelineHub
 
@@ -145,29 +146,60 @@ func (o *Options) fillDefaults() {
 }
 
 // AppRun couples a generated trace with the multiprocessor-side statistics.
-// The trace is the application's single decoded arena: generated once,
-// frozen to exact size, and shared read-only by every figure, sweep, and
-// ablation cell that replays this application.
+// The trace is the application's single decoded arena: generated (or
+// decoded from the result cache) once, frozen to exact size, and shared
+// read-only by every figure, sweep, and ablation cell that replays this
+// application.
 type AppRun struct {
 	App    string
-	Trace  *trace.Trace
+	Trace  *trace.Trace // always set by Run; nil in a lazyRun until decoded
 	Caches []mem.Stats
 	CPUs   []tango.CPUStats
 
 	// addr is the trace's content address (trace.ContentAddr), memoized
 	// when the run went through the result cache; "" when caching is off.
 	addr string
+
+	// raw is a cached run's serialized trace, container checks passed,
+	// held until materialize decodes it into Trace; nil once decoded and
+	// for a generated run. A sweep whose cells all hit the store never
+	// decodes it.
+	raw    []byte
+	decode sync.Once
+	err    error
 }
 
 // ContentAddr returns the trace's memoized content address, or "" when the
 // run was produced without the result cache.
 func (r *AppRun) ContentAddr() string { return r.addr }
 
-// TraceView returns a read-only view of the cached decoded trace: a
-// shallow *Trace whose Events slice is capacity-capped at its length, so
-// concurrent replay cells share the one decoded arena without any cell
-// being able to grow it or alias past its end.
-func (r *AppRun) TraceView() *trace.Trace { return r.Trace.View() }
+// materialize decodes a cached run's trace into Trace on first use. It is
+// safe for concurrent use; a generated or already decoded run returns at
+// once. Decoding is deterministic, so a failure is permanent.
+func (r *AppRun) materialize() error {
+	r.decode.Do(func() {
+		if r.raw == nil {
+			return
+		}
+		tr, err := trace.ReadTrace(bytes.NewReader(r.raw))
+		if err != nil {
+			r.err = &permanentError{fmt.Errorf("exp: %s: cached trace: %w", r.App, err)}
+		}
+		r.Trace, r.raw = tr, nil
+	})
+	return r.err
+}
+
+// view returns a read-only view of the decoded trace, decoding it first if
+// needed: a shallow *Trace whose Events slice is capacity-capped at its
+// length, so concurrent replay cells share the one decoded arena without
+// any cell being able to grow it or alias past its end.
+func (r *AppRun) view() (*trace.Trace, error) {
+	if err := r.materialize(); err != nil {
+		return nil, err
+	}
+	return r.Trace.View(), nil
+}
 
 // Experiment lazily generates and caches application traces.
 type Experiment struct {
@@ -199,14 +231,29 @@ func New(opts Options) *Experiment {
 // Options returns the harness options (defaults filled).
 func (e *Experiment) Options() Options { return e.opts }
 
-// Run returns the cached trace for app, generating it on first use. It is
-// safe for concurrent use: the first caller generates, everyone else waits
-// for that single flight. A panic during generation is contained here — it
-// would otherwise poison the once and hand every later caller a silent
-// (nil, nil). Failures are cached as permanent: the single flight would
-// return the identical error without re-running anything, so retrying a
-// cell against a failed generation is pointless and attempt() skips it.
+// Run returns the decoded trace for app, generating it on first use (see
+// lazyRun). It is safe for concurrent use.
 func (e *Experiment) Run(app string) (*AppRun, error) {
+	run, err := e.lazyRun(app)
+	if err != nil {
+		return nil, err
+	}
+	if err := run.materialize(); err != nil {
+		return nil, err
+	}
+	return run, nil
+}
+
+// lazyRun returns the run for app, generating it on first use, with a
+// trace restored from the result cache left undecoded until a replay or a
+// table needs it. It is safe for concurrent use: the first caller
+// generates, everyone else waits for that single flight. A panic during
+// generation is contained here — it would otherwise poison the once and
+// hand every later caller a silent (nil, nil). Failures are cached as
+// permanent: the single flight would return the identical error without
+// re-running anything, so retrying a cell against a failed generation is
+// pointless and attempt() skips it.
+func (e *Experiment) lazyRun(app string) (*AppRun, error) {
 	e.mu.Lock()
 	en := e.runs[app]
 	if en == nil {
@@ -330,11 +377,12 @@ func (e *Experiment) generate(app string) (run *AppRun, err error) {
 }
 
 // cachedTrace restores an application run from the result cache: the
-// decoded trace, the multiprocessor statistics, and the metrics fragment
+// serialized trace, the multiprocessor statistics, and the metrics fragment
 // the original generation published — so a warm run's registry hashes
-// identically to a cold one's. Any decode failure falls back to
-// regenerating. job is the generation's board entry, finished as "cached"
-// on a hit.
+// identically to a cold one's. The trace's container checks run here, but
+// its events are decoded only on first use (AppRun.materialize). Any
+// failure falls back to regenerating. job is the generation's board entry,
+// finished as "cached" on a hit.
 func (e *Experiment) cachedTrace(app string, job int) *AppRun {
 	payload, ok := e.opts.Cache.Get(traceKind, e.traceKey(app))
 	if !ok {
@@ -345,11 +393,12 @@ func (e *Experiment) cachedTrace(app string, job int) *AppRun {
 		return nil
 	}
 	start := time.Now()
-	// ReadTrace re-verifies the v3 per-chunk CRCs and whole-file footer on
-	// top of the cache entry's own checksum; a failure here means the entry
-	// predates a format change, so regenerate and overwrite.
-	tr, err := trace.ReadTrace(bytes.NewReader(traceBytes))
-	if err != nil {
+	// Stat re-verifies the v3 header, per-chunk CRCs and whole-file footer
+	// on top of the cache entry's own checksum, without decoding events; a
+	// failure here means the entry predates a format change or is torn, so
+	// regenerate and overwrite.
+	st, err := trace.Stat(bytes.NewReader(traceBytes))
+	if err != nil || st.ChunksOK != st.Chunks || !st.FooterOK {
 		return nil
 	}
 	if reg := e.opts.Metrics; reg != nil {
@@ -365,7 +414,7 @@ func (e *Experiment) cachedTrace(app string, job int) *AppRun {
 		}
 	}
 	e.opts.Board.FinishCached(job)
-	return &AppRun{App: app, Trace: tr, Caches: sc.Caches, CPUs: sc.CPUs, addr: traceAddrBytes(traceBytes)}
+	return &AppRun{App: app, raw: traceBytes, Caches: sc.Caches, CPUs: sc.CPUs, addr: traceAddrBytes(traceBytes)}
 }
 
 // putTrace stores a freshly generated run in the result cache and memoizes

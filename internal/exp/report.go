@@ -24,7 +24,7 @@ type AppColumns struct {
 // sweep runs specs for every configured application through the matrix
 // driver.
 func (e *Experiment) sweep(specs []CellSpec) ([]AppColumns, error) {
-	acs, _, err := runMatrix(&e.opts, e.Apps(), e.Run, specs, noProbe)
+	acs, _, err := runMatrix(&e.opts, e.Apps(), e.lazyRun, specs, noProbe)
 	return acs, err
 }
 
@@ -141,7 +141,7 @@ func (e *Experiment) DelayReport() (string, error) {
 
 // ablation runs one application's ablation sweep as a one-app matrix.
 func (e *Experiment) ablation(app string, specs []CellSpec) ([]Column, error) {
-	acs, _, err := runMatrix(&e.opts, []string{app}, e.Run, specs, noProbe)
+	acs, _, err := runMatrix(&e.opts, []string{app}, e.lazyRun, specs, noProbe)
 	if acs == nil {
 		return nil, err
 	}

@@ -95,10 +95,8 @@ func cellSite(app string, p probe, label string) string {
 	switch {
 	case app == "":
 		return label
-	case p == critPathProbe:
-		return app + " analyze " + label
-	case p == timelineProbe:
-		return app + " timeline " + label
+	case p != noProbe:
+		return app + " " + string(p) + " " + label
 	}
 	return app + " " + label
 }
@@ -111,13 +109,16 @@ func cellSite(app string, p probe, label string) string {
 // generation completes its replay cells become claimable, so workers
 // replay finished traces while other applications are still generating.
 // Every cell runs under the full containment stack — fault-injection site,
-// panic isolation, retry — with fresh instruments per attempt; unprobed
-// cells go through the result cache, where a hit skips the replay but
-// lands in the same by-index slot. Results and failures are keyed by cell
-// index, so the output is byte-identical at any worker count. A failed
-// generation marks its application's cells failed and a failed cell is
-// marked without disturbing its neighbours; the partial results come back
-// alongside a *PartialError. Only cancellation aborts outright.
+// panic isolation, retry — with fresh instruments per attempt. Every cell
+// goes through the result cache, plain cells as cell entries and probed
+// ones as probe entries. A hit skips the replay but lands in the same
+// by-index slot, and a cached trace is decoded only when the first of its
+// cells misses, so a fully warm sweep decodes nothing. Results and
+// failures are keyed by cell index, so the output is byte-identical at any
+// worker count. A failed generation marks its application's cells failed
+// and a failed cell is marked without disturbing its neighbours; the
+// partial results come back alongside a *PartialError. Only cancellation
+// aborts outright.
 func runMatrix(o *Options, apps []string, gen func(app string) (*AppRun, error), specs []CellSpec, p probe) ([]AppColumns, [][]cellOutcome, error) {
 	nc := len(specs)
 	workers := o.Workers
@@ -146,23 +147,21 @@ func runMatrix(o *Options, apps []string, gen func(app string) (*AppRun, error),
 		spec, addr := specs[c], runs[a].addr
 		site := cellSite(apps[a], p, spec.Label)
 		bj := o.Board.Enqueue(site)
-		var cached *cellResult
-		if p == noProbe {
-			if b, n, ok := CellCacheGet(o.Cache, addr, spec); ok {
-				cached = &cellResult{Breakdown: b, Instructions: n}
-				if !verifySelected(o.CacheVerify, cellKey(addr, spec)) {
-					outs[a][c].cellResult = *cached
-					o.Board.FinishCached(bj)
-					return
-				}
-			}
+		cached, hit := cellGet(o.Cache, p, addr, spec)
+		if hit && !verifySelected(o.CacheVerify, cellKey(addr, spec)) {
+			outs[a][c] = cached
+			o.Board.FinishCached(bj)
+			return
 		}
-		if cached == nil {
+		if !hit {
 			o.Board.Start(bj)
 		}
-		tr := runs[a].TraceView()
 		cerr := o.attempt(site, a*nc+c, func() error {
 			if err := o.Faults.Fire("cell." + site); err != nil {
+				return err
+			}
+			tr, err := runs[a].view()
+			if err != nil {
 				return err
 			}
 			out, err := spec.replay(tr, o, p, apps[a]+" "+spec.Label)
@@ -172,15 +171,19 @@ func runMatrix(o *Options, apps []string, gen func(app string) (*AppRun, error),
 			outs[a][c] = out
 			return nil
 		})
-		if cerr == nil && cached != nil {
-			fresh := outs[a][c].cellResult
-			o.Cache.CountVerified(fresh == *cached)
-			if fresh != *cached {
+		if cerr == nil && hit {
+			fresh := outs[a][c]
+			same := p.sameOutcome(fresh, cached)
+			o.Cache.CountVerified(same)
+			if !same {
+				detail := fmt.Sprintf("cached breakdown %+v (instructions %d) vs recomputed %+v (instructions %d)",
+					cached.Breakdown, cached.Instructions, fresh.Breakdown, fresh.Instructions)
+				if fresh.cellResult == cached.cellResult {
+					detail = "cached attribution or samples differ from the recomputed ones"
+				}
 				cerr = &CellError{
 					Label: site, Index: a*nc + c, Attempts: 1,
-					Err: &permanentError{fmt.Errorf(
-						"exp: cache verification divergence: cached breakdown %+v (instructions %d) vs recomputed %+v (instructions %d)",
-						cached.Breakdown, cached.Instructions, fresh.Breakdown, fresh.Instructions)},
+					Err: &permanentError{fmt.Errorf("exp: cache verification divergence: %s", detail)},
 				}
 			}
 		}
@@ -188,12 +191,10 @@ func runMatrix(o *Options, apps []string, gen func(app string) (*AppRun, error),
 		case cerr != nil:
 			cellErrs[a][c] = cerr
 			o.Board.Finish(bj, cerr)
-		case cached != nil:
+		case hit:
 			o.Board.FinishCached(bj)
 		default:
-			if p == noProbe {
-				CellCachePut(o.Cache, addr, spec, outs[a][c].Breakdown, outs[a][c].Instructions)
-			}
+			cellPut(o.Cache, p, addr, spec, outs[a][c])
 			o.Board.Finish(bj, nil)
 		}
 	}

@@ -82,29 +82,31 @@ func (s CellSpec) column() Column {
 }
 
 // probe selects the instruments the matrix driver attaches to each replay.
-// Only unprobed cells go through the result cache: a probe's output is not
-// part of the cached payload.
-type probe int
+// There are two sets: none (noProbe, the plain cells), or a
+// critpath.Collector and an interval sampler per attempt, which every
+// probe replay attaches. A probe is named by its sweep ("analyze" or
+// "timeline"), but the name only labels the cells' fault sites and board
+// jobs: both sweeps replay the same instruments and so share one cached
+// probe entry per cell.
+type probe string
 
-const (
-	noProbe       probe = iota
-	critPathProbe       // a critpath.Collector per attempt (hidelat analyze)
-	timelineProbe       // an interval sampler plus a collector (hidelat timeline)
-)
+const noProbe probe = ""
 
 // cellOutcome is one replayed cell: the numbers every sweep reports, plus
-// the probe's instruments when one was attached.
+// what the probe's instruments measured when the cell was probed. It is
+// also the JSON payload of a cached probe entry.
 type cellOutcome struct {
 	cellResult
-	attr     critpath.Attribution // critPathProbe
-	timeline *obs.Timeline        // timelineProbe
+	Attr     critpath.Attribution `json:"attribution"`
+	Interval uint64               `json:"interval_cycles"`
+	Samples  []obs.TimelineSample `json:"samples"`
 }
 
 // replay runs one attempt of the cell over tr with fresh probe
 // instruments — a retried cell must not accumulate a failed attempt's
 // partial charges. The predictor is built here too, so concurrent replays
-// never share predictor state. name registers a timeline with the live
-// hub.
+// never share predictor state. name registers a probe's sampler with the
+// live hub.
 func (s CellSpec) replay(tr *trace.Trace, o *Options, p probe, name string) (cellOutcome, error) {
 	if err := s.Validate(); err != nil {
 		return cellOutcome{}, err
@@ -127,8 +129,6 @@ func (s CellSpec) replay(tr *trace.Trace, o *Options, p probe, name string) (cel
 	}
 	if p != noProbe {
 		cfg.CritPath = critpath.NewCollector()
-	}
-	if p == timelineProbe {
 		cfg.Timeline = obs.NewTimeline(timelineShift, timelineMaxPoints)
 		cfg.Timeline.CauseNames = timelineCauseNames()
 		o.Timelines.Register(name, cfg.Timeline)
@@ -137,9 +137,10 @@ func (s CellSpec) replay(tr *trace.Trace, o *Options, p probe, name string) (cel
 	if err != nil {
 		return cellOutcome{}, err
 	}
-	out := cellOutcome{cellResult: cellResult{Breakdown: res.Breakdown, Instructions: res.Instructions}, timeline: cfg.Timeline}
-	if p == critPathProbe {
-		out.attr = cfg.CritPath.Attribution()
+	out := cellOutcome{cellResult: cellResult{Breakdown: res.Breakdown, Instructions: res.Instructions}}
+	if p != noProbe {
+		out.Attr = cfg.CritPath.Attribution()
+		out.Interval, out.Samples = cfg.Timeline.Interval(), cfg.Timeline.Samples()
 	}
 	return out, nil
 }

@@ -99,9 +99,10 @@ func timelineCauseNames() []string {
 
 // TimelineAll replays the attribution matrix (analyzeSpecs) for every
 // application through the matrix driver, each cell with its own sampler and
-// collector. Failure containment is the driver's, as in AnalyzeAll.
+// collector, sharing AnalyzeAll's probe entries in the store. Failure
+// containment is the driver's, as in AnalyzeAll.
 func (e *Experiment) TimelineAll() (*TimelineReport, error) {
-	acs, outs, err := runMatrix(&e.opts, e.Apps(), e.Run, analyzeSpecs(), timelineProbe)
+	acs, outs, err := runMatrix(&e.opts, e.Apps(), e.lazyRun, analyzeSpecs(), "timeline")
 	if acs == nil {
 		return nil, err
 	}
@@ -114,9 +115,9 @@ func (e *Experiment) TimelineAll() (*TimelineReport, error) {
 				cells[c].Failed, cells[c].Err, cells[c].Error = true, col.Err, col.Err.Error()
 				continue
 			}
-			tl := outs[a][c].timeline
-			cells[c].Interval, cells[c].TotalCycles, cells[c].Instructions = tl.Interval(), col.Breakdown.Total(), col.Instructions
-			cells[c].Samples = tl.Samples()
+			out := outs[a][c]
+			cells[c].Interval, cells[c].TotalCycles, cells[c].Instructions = out.Interval, col.Breakdown.Total(), col.Instructions
+			cells[c].Samples = out.Samples
 			cells[c].Phases = DetectPhases(cells[c].Samples)
 		}
 		rep.Apps[a] = TimelineApp{App: ac.App, Cells: cells}
