@@ -191,12 +191,22 @@ func (s *Store) path(addr string) string {
 // bit-flipped, or key-colliding entry is a miss — the corrupt file is
 // removed so the next Put rewrites it cleanly.
 func (s *Store) Get(kind, key string) ([]byte, bool) {
+	return s.GetChecked(kind, key, nil)
+}
+
+// GetChecked is Get for a caller that decodes the payload: check, when
+// non-nil, runs on the verified payload before the lookup is counted, and
+// a payload it rejects is a miss, removed like a corrupt entry.
+func (s *Store) GetChecked(kind, key string, check func([]byte) error) ([]byte, bool) {
 	if s == nil {
 		return nil, false
 	}
 	full := s.fullKey(kind, key)
 	addr := addrOf(full)
 	payload, err := readEntry(s.path(addr), full)
+	if err == nil && check != nil {
+		err = check(payload)
+	}
 	if err != nil {
 		if !os.IsNotExist(err) {
 			// Corrupt or mismatched: delete so the recompute can replace it.

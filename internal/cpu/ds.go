@@ -68,6 +68,7 @@ const (
 type dsEvent struct {
 	at   uint64
 	kind dsEventKind
+	mem  consistency.Kind // evPerform: the access's kind, for memPort.lookup
 	seq  int
 }
 
@@ -191,11 +192,9 @@ func runDS(src *Source, cfg Config) (Result, error) {
 		port    = &scratch.port
 		memLive int // unperformed accesses
 		sbCount int
-		outMiss int // outstanding (issued, unperformed) misses
 
 		fetchBlockedBy = -1
 		mispredicts    uint64
-		prefetches     uint64
 		hist           = obs.NewLocalHistogram(delayBuckets...)
 		t              uint64
 	)
@@ -285,7 +284,7 @@ func runDS(src *Source, cfg Config) (Result, error) {
 				// issueMem's gates in order: consistency ordering first,
 				// then the MSHR bound; otherwise it waits on the port.
 				s.cause = critpath.Consistency
-			case cfg.MSHRs > 0 && outMiss >= cfg.MSHRs && h.mop.latency > 1:
+			case cfg.MSHRs > 0 && port.outMiss >= cfg.MSHRs && h.mop.latency > 1:
 				s.cause = critpath.MSHRFull
 			}
 			return s
@@ -315,7 +314,7 @@ func runDS(src *Source, cfg Config) (Result, error) {
 	dog := newWatchdog(cfg.WatchdogBudget)
 	dsState := func() string {
 		s := fmt.Sprintf("head=%d next=%d decoded=%d/%d memLive=%d storeBuf=%d outstandingMiss=%d fetchBlockedBy=%d",
-			headSeq, nextSeq, idx, src.n, memLive, sbCount, outMiss, fetchBlockedBy)
+			headSeq, nextSeq, idx, src.n, memLive, sbCount, port.outMiss, fetchBlockedBy)
 		if headSeq < nextSeq {
 			h := at(headSeq)
 			s += fmt.Sprintf("; ROB head seq=%d op=%s deps=%d dispatched=%t done=%t",
@@ -393,16 +392,13 @@ func runDS(src *Source, cfg Config) (Result, error) {
 				}
 				// Retired stores have left the ROB; the port still has them.
 				if mop == nil {
-					mop = port.retired(e.seq)
+					mop = port.lookup(e.seq, e.mem)
 				}
 				if mop == nil || mop.performed {
 					break
 				}
 				port.perform(mop)
 				memLive--
-				if mop.usedMSHR {
-					outMiss--
-				}
 				if mop.inSB {
 					sbCount--
 				}
@@ -508,7 +504,7 @@ func runDS(src *Source, cfg Config) (Result, error) {
 				acct.credit(retired-cfg.IssueWidth, cfg.IssueWidth)
 			}
 		}
-		acct.occupy(uint64(nextSeq-headSeq), uint64(sbCount), uint64(outMiss))
+		acct.occupy(uint64(nextSeq-headSeq), uint64(sbCount), uint64(port.outMiss))
 		if acct.reg != nil {
 			acct.observe(1)
 		}
@@ -532,7 +528,7 @@ func runDS(src *Source, cfg Config) (Result, error) {
 		}
 
 		// Phase 4: the cache port issues at most one memory access.
-		memActive := issueMem(port, t, &cfg, &evq, &outMiss, hist, &prefetches)
+		memActive := issueMem(port, t, &cfg, &evq, hist)
 
 		// Phase 5: decode up to IssueWidth instructions into the ROB.
 		for n := 0; n < cfg.IssueWidth; n++ {
@@ -590,16 +586,9 @@ func runDS(src *Source, cfg Config) (Result, error) {
 				}
 			case isa.ClassLoad, isa.ClassStore, isa.ClassSync:
 				if scratch.ops.full() {
-					// Every live access is at or after the ROB head or the
-					// port's front of its kind (see opRing).
-					low := headSeq
-					for _, f := range port.front {
-						low = min(low, f)
-					}
-					scratch.ops.advance(low)
+					scratch.ops.advance(port.low(headSeq))
 				}
-				en.mop = scratch.ops.newMemOp(seq, ev)
-				en.mop.decodedAt = t
+				en.mop = scratch.ops.newMemOp(seq, ev, t)
 				memLive++
 				port.add(en.mop)
 				switch {
@@ -676,7 +665,7 @@ func runDS(src *Source, cfg Config) (Result, error) {
 		Breakdown:     acct.finish(t, uint64(headSeq)),
 		Instructions:  uint64(src.n),
 		Mispredicts:   mispredicts,
-		Prefetches:    prefetches,
+		Prefetches:    port.prefetches,
 		ReadMissDelay: hist,
 	}
 	if t > 0 {
@@ -701,17 +690,22 @@ func makeReady(e *dsEntry, dispatch *seqHeap, port *memPort) {
 	}
 }
 
-// issueMem models the single cache port: it issues the oldest ready access
-// that the consistency model permits, judging each candidate against the
-// oldest unperformed access of each kind (the port's front summary, read
-// once per call since nothing performs while the port decides). An
-// MSHR-blocked miss stays a candidate and so keeps counting as pending for
-// the younger ones. With prefetching enabled, an otherwise idle port issues
-// a non-binding prefetch for the oldest consistency-blocked miss instead.
-// It reports whether it changed machine state (issued an access or started
-// a prefetch) — an idle port is one of the conditions for a cycle to be a
-// time-skip fixed point.
-func issueMem(port *memPort, t uint64, cfg *Config, evq *eventHeap, outMiss *int, hist *obs.LocalHistogram, prefetches *uint64) bool {
+// issueMem models the single cache port of SSBR, SS and DS: it issues the
+// oldest ready access that the consistency model permits, judging each
+// candidate against the oldest unperformed access of each kind (the port's
+// front summary, read once per call since nothing performs while the port
+// decides), and schedules its perform event on evq. A load forwards from
+// an older unperformed store to its address where the model lets loads
+// bypass stores. The rest are DS policies, which the static models turn off
+// by passing a cfg with only Model set and a nil hist: with an MSHR bound
+// an MSHR-blocked miss stays a candidate and so keeps counting as pending
+// for the younger ones; with prefetching an otherwise idle port issues a
+// non-binding prefetch for the oldest consistency-blocked miss instead;
+// speculative loads issue past the model; and hist records each read
+// miss's decode-to-issue delay. It reports whether it changed machine state
+// (issued an access or started a prefetch) — an idle port is one of the
+// conditions for a cycle to be a time-skip fixed point.
+func issueMem(port *memPort, t uint64, cfg *Config, evq *eventHeap, hist *obs.LocalHistogram) bool {
 	if len(port.cands) == 0 {
 		return false
 	}
@@ -752,21 +746,19 @@ func issueMem(port *memPort, t uint64, cfg *Config, evq *eventHeap, outMiss *int
 					lat -= el
 				}
 			}
-			if lat > 1 && cfg.MSHRs > 0 && *outMiss >= cfg.MSHRs {
+			if lat > 1 && cfg.MSHRs > 0 && port.outMiss >= cfg.MSHRs {
 				continue // MSHRs exhausted: this miss cannot start yet
-			}
-			m.issued = true
-			m.issuedAt = t
-			if lat > 1 {
-				m.usedMSHR = true
-				*outMiss++
 			}
 			if m.kind == consistency.Load && m.miss && !forwarded {
 				hist.Observe(t - m.decodedAt)
 			}
-			m.performAt = t + lat
-			evq.push(dsEvent{at: m.performAt, kind: evPerform, seq: m.seq})
+			m.issued, m.issuedAt, m.performAt = true, t, t+lat
+			if lat > 1 {
+				m.usedMSHR = true // a miss holds an MSHR until it performs
+				port.outMiss++
+			}
 			port.issue(i)
+			evq.push(dsEvent{at: m.performAt, kind: evPerform, mem: m.kind, seq: m.seq})
 			return true
 		}
 		if cfg.Prefetch && pfCand == nil && m.miss && !m.prefetched {
@@ -776,9 +768,7 @@ func issueMem(port *memPort, t uint64, cfg *Config, evq *eventHeap, outMiss *int
 	if pfCand != nil {
 		// Non-binding prefetch: warms the cache without performing the
 		// access, so no consistency constraint applies (reference [8]).
-		port.prefetch(pfCand)
-		pfCand.prefetchedAt = t
-		*prefetches++
+		port.prefetch(pfCand, t)
 		return true
 	}
 	return false

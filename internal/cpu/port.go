@@ -2,17 +2,20 @@ package cpu
 
 import (
 	"math"
+	"math/bits"
 
 	"dynsched/internal/consistency"
 )
 
-// memPort is the DS model's view of its in-flight memory accesses, kept
-// incrementally so the single cache port never rescans them. It holds:
+// memPort is the view SSBR, SS and DS share of a processor's in-flight
+// memory accesses at its lockup-free, single-ported cache, kept
+// incrementally so the port never rescans them. It holds:
 //
 //   - cands: the accesses that are ready to issue and have not, in program
-//     order — the only ones the port looks at each cycle. Loads and
+//     order — the only ones the port looks at each cycle. In DS, loads and
 //     acquires are ready once their address operands are, stores and
-//     releases once they have retired into the store buffer;
+//     releases once they have retired into the store buffer; in SSBR and
+//     SS every access is ready when it enters the port;
 //   - kinds: one program-ordered queue of unperformed accesses per
 //     consistency.Kind bit (load, store, acquire, release; a barrier sits
 //     in both the acquire and the release queue);
@@ -37,6 +40,9 @@ type memPort struct {
 	candKinds [1 << numKinds]int
 	present   uint16
 	unfetched int
+
+	outMiss    int    // issued, unperformed misses: the MSHRs in use
+	prefetches uint64 // prefetches started
 }
 
 // Queue k of a memPort holds the unperformed accesses whose kind has bit
@@ -57,7 +63,9 @@ type fronts [numKinds]int
 // have all performed, and whose entry at head (if any) has not. push reuses
 // the backing array by sliding the live part down when at least half of it
 // is dead, so a pooled queue stops allocating once it has reached its
-// working size.
+// working size. The slots a slide leaves behind are not cleared: they
+// point into the replay's own opRing blocks, which its scratch keeps
+// anyway.
 type opQueue struct {
 	ops  []*memOp
 	head int
@@ -66,7 +74,6 @@ type opQueue struct {
 func (q *opQueue) push(op *memOp) {
 	if len(q.ops) == cap(q.ops) && 2*q.head >= len(q.ops) {
 		n := copy(q.ops, q.ops[q.head:])
-		clear(q.ops[n:])
 		q.ops, q.head = q.ops[:n], 0
 	}
 	q.ops = append(q.ops, op)
@@ -84,12 +91,11 @@ func newMemPort() memPort {
 
 // add enters a newly decoded access in its kind queues.
 func (p *memPort) add(op *memOp) {
-	for k := range p.kinds {
-		if op.kind&(1<<k) != 0 {
-			p.kinds[k].push(op)
-			if p.front[k] == math.MaxInt {
-				p.front[k] = op.seq
-			}
+	for m := uint8(op.kind); m != 0; m &= m - 1 {
+		k := bits.TrailingZeros8(m)
+		p.kinds[k].push(op)
+		if p.front[k] == math.MaxInt {
+			p.front[k] = op.seq
 		}
 	}
 }
@@ -111,10 +117,12 @@ func (p *memPort) ready(op *memOp) {
 	p.cands[i] = op
 }
 
-// prefetch records that a prefetch has started for op, a candidate miss.
-func (p *memPort) prefetch(op *memOp) {
-	op.prefetched = true
+// prefetch records that a prefetch has started for op, a candidate miss,
+// at cycle t.
+func (p *memPort) prefetch(op *memOp, t uint64) {
+	op.prefetched, op.prefetchedAt = true, t
 	p.unfetched--
+	p.prefetches++
 }
 
 // issue removes cands[i], which the cache port has just accepted.
@@ -126,17 +134,24 @@ func (p *memPort) issue(i int) {
 	if op.miss && !op.prefetched {
 		p.unfetched--
 	}
-	n := copy(p.cands[i:], p.cands[i+1:])
-	p.cands[i+n] = nil
-	p.cands = p.cands[:i+n]
+	last := len(p.cands) - 1
+	if i < last {
+		copy(p.cands[i:], p.cands[i+1:])
+	}
+	p.cands[last] = nil
+	p.cands = p.cands[:last]
 }
 
-// perform marks op performed. Where op was the front of its kind, the
-// queue drops it and every performed access behind it.
+// perform marks op performed and frees its MSHR. Where op was the front of
+// its kind (sequence numbers are unique, so a front equal to op.seq is op),
+// the queue drops it and every performed access behind it.
 func (p *memPort) perform(op *memOp) {
 	op.performed = true
-	for k := range p.kinds {
-		if op.kind&(1<<k) == 0 || p.front[k] != op.seq {
+	if op.usedMSHR {
+		p.outMiss--
+	}
+	for k, f := range p.front {
+		if f != op.seq {
 			continue
 		}
 		q := &p.kinds[k]
@@ -193,22 +208,33 @@ func (p *memPort) forwardable(seq int, addr uint64) bool {
 	return false
 }
 
-// retired returns the unperformed store or release with sequence number
-// seq, or nil. Stores and releases issue only from the store buffer, after
-// they have left the reorder buffer; being the oldest of their kind, they
-// sit at the fronts of their queues.
-func (p *memPort) retired(seq int) *memOp {
-	for _, k := range [...]int{qStore, qRelease} {
-		for _, op := range p.kinds[k].live() {
-			if op.seq >= seq {
-				if op.seq == seq && !op.performed {
-					return op
-				}
-				break
-			}
+// lookup returns the unperformed access with sequence number seq and
+// consistency kind k, or nil. It searches the program-ordered queue of
+// the lowest kind bit of k, from its oldest unperformed access on.
+func (p *memPort) lookup(seq int, k consistency.Kind) *memOp {
+	q := p.kinds[bits.TrailingZeros8(uint8(k))].live()
+	lo, hi := 0, len(q)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); q[m].seq < seq {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
+	if lo < len(q) && q[lo].seq == seq && !q[lo].performed {
+		return q[lo]
+	}
 	return nil
+}
+
+// low is the opRing low-water mark of a replay whose own structures read
+// no access older than seq: seq, or the port's front of some kind if that
+// is older (see opRing).
+func (p *memPort) low(seq int) int {
+	for _, f := range p.front {
+		seq = min(seq, f)
+	}
+	return seq
 }
 
 // reset empties the port, keeping its backing arrays.
@@ -217,6 +243,7 @@ func (p *memPort) reset() {
 	p.cands = p.cands[:0]
 	clear(p.candKinds[:])
 	p.present, p.unfetched = 0, 0
+	p.outMiss, p.prefetches = 0, 0
 	for k := range p.kinds {
 		q := &p.kinds[k]
 		clear(q.ops)

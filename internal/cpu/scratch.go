@@ -29,22 +29,22 @@ const opBlockSize = 1024
 // not for every memory instruction of its trace, and the mark is computed
 // once per block, not per access.
 //
-// A live access is one some structure of the replay may still read:
+// A live access is one some structure of the replay may still read. Every
+// model keeps its unperformed accesses in a memPort, whose candidates and
+// kind-queue live parts hold only accesses at or after their kind's front,
+// since an unperformed access is never older than its kind's oldest
+// unperformed one; queue slots before a queue's head are never read. A
+// pending perform event names an issued access that has not performed. The
+// mark is memPort.low of what the model itself still reads:
 //
-//   - DS (mark: the ROB head and the port's front of every kind). ROB
-//     entries are at or after the head. The port's candidates and the
-//     live parts of its kind queues hold only accesses at or after their
-//     kind's front, since an unperformed access is never older than its
-//     kind's oldest unperformed one; queue slots before a queue's head are
-//     never read. A pending perform event names an issued access that has
-//     not performed, and a retired entry's stale mop is read only behind
-//     en.seq == e.seq for such an event.
-//   - SSBR/SS (mark: the window's oldest access, or the one being decoded).
-//     The window holds the unperformed accesses in program order, and
-//     regOwner only unperformed loads, being cleared on perform. A
-//     performed acquire leaves the window but blocks until its wall, and
-//     an SSBR load blocks until it performs; while either blocks, the
-//     processor decodes nothing, so no block fills.
+//   - DS: the ROB head. ROB entries are at or after it, and a retired
+//     entry's stale mop is read only behind en.seq == e.seq for a perform
+//     event.
+//   - SSBR/SS: the access being decoded. regOwner holds only unperformed
+//     loads, being cleared on perform. A performed acquire leaves the port
+//     but blocks until its wall, and an SSBR load blocks until it
+//     performs; while either blocks, the processor decodes nothing, so no
+//     block fills.
 //
 // memOp contains no pointers, so pooled blocks pin nothing between runs.
 type opRing struct {
@@ -79,8 +79,8 @@ func (r *opRing) advance(low int) {
 }
 
 // newMemOp hands out the access record for e, the event with sequence
-// number seq. The ring must not be full.
-func (r *opRing) newMemOp(seq int, e *trace.Event) *memOp {
+// number seq, decoded at cycle t. The ring must not be full.
+func (r *opRing) newMemOp(seq int, e *trace.Event, t uint64) *memOp {
 	op := &r.cur[r.n]
 	r.n++
 	*op = memOp{}
@@ -93,6 +93,7 @@ func (r *opRing) newMemOp(seq int, e *trace.Event) *memOp {
 	op.wait = e.Wait
 	op.miss = e.Miss
 	op.destReg = e.Instr.Dst
+	op.decodedAt = t
 	return op
 }
 
@@ -154,23 +155,23 @@ func (s *dsScratch) release() {
 	dsPool.Put(s)
 }
 
-// staticScratch is the reusable working set of one SS or SSBR replay.
+// staticScratch is the reusable working set of one SS or SSBR replay: the
+// perform-event heap, the memory port and the memOp ring.
 type staticScratch struct {
-	win  []*memOp
-	wake []uint64 // opWindow completion-time heap (capacity reuse)
+	evq  eventHeap
+	port memPort
 	ops  opRing
 }
 
-var staticPool = sync.Pool{New: func() any { return new(staticScratch) }}
+var staticPool = sync.Pool{New: func() any { return &staticScratch{port: newMemPort()} }}
 
 func getStaticScratch() *staticScratch {
 	return staticPool.Get().(*staticScratch)
 }
 
 func (s *staticScratch) release() {
-	clear(s.win)
-	s.win = s.win[:0]
-	s.wake = s.wake[:0]
+	s.port.reset()
+	s.evq = s.evq[:0]
 	s.ops.reset()
 	staticPool.Put(s)
 }

@@ -47,14 +47,14 @@ const (
 )
 
 // traceKey digests every generation input that can change the produced
-// trace or its sidecar. The metrics flag is part of the key because the
-// sidecar's metrics fragment exists only when a registry was attached: a
-// warm run with metrics must not hit an entry whose fragment is empty.
+// trace or its sidecar. Whether the run collects metrics is not one: the
+// sidecar always carries the generation's metrics fragment (see generate),
+// so runs with and without metrics share the entry.
 func (e *Experiment) traceKey(app string) string {
 	o := &e.opts
-	return fmt.Sprintf("app=%s|cpus=%d|scale=%s|penalty=%d|tracecpu=%d|memissue=%d|cachebytes=%d|tracefmt=%d|metrics=%t",
+	return fmt.Sprintf("app=%s|cpus=%d|scale=%s|penalty=%d|tracecpu=%d|memissue=%d|cachebytes=%d|tracefmt=%d",
 		app, o.NumCPUs, o.Scale, o.MissPenalty, o.TraceCPU%o.NumCPUs,
-		o.MemIssueInterval, e.cacheBytes, trace.FormatVersion, o.Metrics != nil)
+		o.MemIssueInterval, e.cacheBytes, trace.FormatVersion)
 }
 
 // traceSidecar is the JSON half of a cached trace entry: everything an
@@ -143,13 +143,11 @@ func cellGet(s *cache.Store, p probe, traceAddr string, spec CellSpec) (cellOutc
 	if p == noProbe {
 		kind, dst = cellKind, &out.cellResult
 	}
-	payload, ok := s.Get(kind, cellKey(traceAddr, spec))
-	if !ok {
-		return out, false
-	}
-	if err := json.Unmarshal(payload, dst); err != nil {
-		// The CRC matched, so this is a schema change, not corruption;
-		// recompute and overwrite.
+	// A payload that no longer decodes passed the CRC, so it is a schema
+	// change, not corruption: a miss, recomputed and overwritten.
+	if _, ok := s.GetChecked(kind, cellKey(traceAddr, spec), func(payload []byte) error {
+		return json.Unmarshal(payload, dst)
+	}); !ok {
 		return cellOutcome{}, false
 	}
 	return out, true

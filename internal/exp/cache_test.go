@@ -216,3 +216,91 @@ func TestCacheVerifyDetectsPoisonedCell(t *testing.T) {
 
 	t.Run("probe", verifyPoisonedProbes)
 }
+
+// TestCacheUndecodableCellIsMiss stores cell and probe entries whose
+// payloads pass the store's checks but do not decode. Each lookup is a
+// miss, not a hit, and the entry is gone, so the recomputed outcome that
+// replaces it is the next hit.
+func TestCacheUndecodableCellIsMiss(t *testing.T) {
+	const addr = "0123456789abcdef"
+	spec := Figure3Specs()[1]
+	for _, p := range []probe{noProbe, "analyze"} {
+		store := openStore(t, t.TempDir())
+		kind, _, err := p.entry(cellOutcome{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put(kind, cellKey(addr, spec), []byte(`{"breakdown": 7}`)); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := cellGet(store, p, addr, spec); ok {
+			t.Fatalf("%s: an undecodable entry was served", kind)
+		}
+		if h, m := store.Hits(), store.Misses(); h != 0 || m != 1 {
+			t.Fatalf("%s: %d hits, %d misses after an undecodable entry, want 0 and 1", kind, h, m)
+		}
+		if _, ok := store.Get(kind, cellKey(addr, spec)); ok {
+			t.Fatalf("%s: the undecodable entry was kept", kind)
+		}
+		want := cellOutcome{cellResult: cellResult{Breakdown: cpu.Breakdown{Busy: 5}, Instructions: 5}}
+		cellPut(store, p, addr, spec, want)
+		if got, ok := cellGet(store, p, addr, spec); !ok || got.Breakdown != want.Breakdown {
+			t.Fatalf("%s: the recomputed entry was not served (hit %t)", kind, ok)
+		}
+		if h, m := store.Hits(), store.Misses(); h != 1 || m != 2 {
+			t.Fatalf("%s: %d hits, %d misses, want 1 and 2", kind, h, m)
+		}
+	}
+}
+
+// TestTraceEntrySharedWithAndWithoutMetrics checks that whether a run
+// collects metrics does not split the trace entries: a store filled by a
+// run with metrics serves a run without them, and the reverse. A warm run
+// with metrics restores the generation's fragment from the entry, so its
+// snapshot hashes as a cold run's does, whichever kind of run filled the
+// store.
+func TestTraceEntrySharedWithAndWithoutMetrics(t *testing.T) {
+	run := func(t *testing.T, store *cache.Store, metrics bool) string {
+		t.Helper()
+		opts := probeOpts(store, 2)
+		var reg *obs.Registry
+		if metrics {
+			reg = obs.NewRegistry()
+			opts.Metrics = reg
+		}
+		if _, err := New(opts).Table1(); err != nil {
+			t.Fatal(err)
+		}
+		if reg == nil {
+			return ""
+		}
+		return obs.SnapshotFNV(reg.Snapshot())
+	}
+	coldFNV := run(t, nil, true)
+	for _, c := range []struct {
+		name               string
+		coldWith, warmWith bool
+	}{
+		{"cold-with-warm-without", true, false},
+		{"cold-without-warm-with", false, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cold := openStore(t, dir)
+			if fnv := run(t, cold, c.coldWith); c.coldWith && fnv != coldFNV {
+				t.Fatalf("cold metrics FNV %s with a store, %s without", fnv, coldFNV)
+			}
+			if h, m := cold.Hits(), cold.Misses(); h != 0 || m != uint64(len(probeApps)) {
+				t.Fatalf("cold run: %d hits, %d misses, want 0 and %d", h, m, len(probeApps))
+			}
+			warm := openStore(t, dir)
+			fnv := run(t, warm, c.warmWith)
+			if h, m := warm.Hits(), warm.Misses(); h != uint64(len(probeApps)) || m != 0 {
+				t.Fatalf("warm run: %d hits, %d misses, want %d and 0", h, m, len(probeApps))
+			}
+			if c.warmWith && fnv != coldFNV {
+				t.Fatalf("warm metrics FNV %s, cold %s", fnv, coldFNV)
+			}
+		})
+	}
+}

@@ -323,11 +323,18 @@ func (e *Experiment) generate(app string) (run *AppRun, err error) {
 	// shared label.
 	lane := e.opts.Progress.Lane(app)
 	defer lane.Done()
+	// With a store attached the generation always collects its metrics,
+	// into a registry of its own when the run has none, so the stored
+	// entry serves runs with and without metrics alike.
+	reg := e.opts.Metrics
+	if reg == nil && e.opts.Cache != nil {
+		reg = obs.NewRegistry()
+	}
 	cfg := tango.Config{
 		NumCPUs:  e.opts.NumCPUs,
 		TraceCPU: e.opts.TraceCPU % e.opts.NumCPUs,
 		Mem:      mem.DefaultConfig(),
-		Metrics:  e.opts.Metrics,
+		Metrics:  reg,
 		Progress: lane,
 		Ctx:      e.opts.Ctx,
 	}
@@ -354,7 +361,7 @@ func (e *Experiment) generate(app string) (run *AppRun, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s: %w", app, err)
 	}
-	if reg := e.opts.Metrics; reg != nil {
+	if reg != nil {
 		wall := time.Since(start).Seconds()
 		pre := "exp." + app + "."
 		reg.Gauge(pre + "wall_seconds").Set(wall)
@@ -372,7 +379,7 @@ func (e *Experiment) generate(app string) (run *AppRun, err error) {
 		return nil, fmt.Errorf("exp: %s: %w", app, err)
 	}
 	run = &AppRun{App: app, Trace: res.Trace, Caches: res.CacheStats, CPUs: res.CPUStats}
-	e.putTrace(app, run)
+	e.putTrace(app, run, reg)
 	return run, nil
 }
 
@@ -381,24 +388,29 @@ func (e *Experiment) generate(app string) (run *AppRun, err error) {
 // the original generation published — so a warm run's registry hashes
 // identically to a cold one's. The trace's container checks run here, but
 // its events are decoded only on first use (AppRun.materialize). Any
-// failure falls back to regenerating. job is the generation's board entry,
-// finished as "cached" on a hit.
+// failure is a miss and falls back to regenerating. job is the
+// generation's board entry, finished as "cached" on a hit.
 func (e *Experiment) cachedTrace(app string, job int) *AppRun {
-	payload, ok := e.opts.Cache.Get(traceKind, e.traceKey(app))
-	if !ok {
-		return nil
-	}
-	sc, traceBytes, err := decodeTraceEntry(payload)
-	if err != nil {
-		return nil
-	}
-	start := time.Now()
-	// Stat re-verifies the v3 header, per-chunk CRCs and whole-file footer
-	// on top of the cache entry's own checksum, without decoding events; a
-	// failure here means the entry predates a format change or is torn, so
-	// regenerate and overwrite.
-	st, err := trace.Stat(bytes.NewReader(traceBytes))
-	if err != nil || st.ChunksOK != st.Chunks || !st.FooterOK {
+	var (
+		sc         traceSidecar
+		traceBytes []byte
+		start      = time.Now()
+	)
+	if _, ok := e.opts.Cache.GetChecked(traceKind, e.traceKey(app), func(payload []byte) error {
+		var err error
+		if sc, traceBytes, err = decodeTraceEntry(payload); err != nil {
+			return err
+		}
+		// Stat re-verifies the v3 header, per-chunk CRCs and whole-file
+		// footer on top of the cache entry's own checksum, without
+		// decoding events; a failure here means the entry predates a
+		// format change or is torn, so regenerate and overwrite.
+		st, err := trace.Stat(bytes.NewReader(traceBytes))
+		if err == nil && (st.ChunksOK != st.Chunks || !st.FooterOK) {
+			err = fmt.Errorf("exp: cached %s trace fails its chunk or footer check", app)
+		}
+		return err
+	}); !ok {
 		return nil
 	}
 	if reg := e.opts.Metrics; reg != nil {
@@ -417,9 +429,10 @@ func (e *Experiment) cachedTrace(app string, job int) *AppRun {
 	return &AppRun{App: app, raw: traceBytes, Caches: sc.Caches, CPUs: sc.CPUs, addr: traceAddrBytes(traceBytes)}
 }
 
-// putTrace stores a freshly generated run in the result cache and memoizes
-// its content address. Failures degrade to a future regeneration.
-func (e *Experiment) putTrace(app string, run *AppRun) {
+// putTrace stores a freshly generated run in the result cache, with the
+// metrics fragment the generation published into reg, and memoizes its
+// content address. Failures degrade to a future regeneration.
+func (e *Experiment) putTrace(app string, run *AppRun, reg *obs.Registry) {
 	s := e.opts.Cache
 	if s == nil {
 		return
@@ -429,9 +442,9 @@ func (e *Experiment) putTrace(app string, run *AppRun) {
 		return
 	}
 	run.addr = traceAddrBytes(buf.Bytes())
-	sc := traceSidecar{Caches: run.Caches, CPUs: run.CPUs}
-	if reg := e.opts.Metrics; reg != nil {
-		sc.Metrics = obs.FilterSnapshot(reg.Snapshot(), "tango."+app+".", "exp."+app+".")
+	sc := traceSidecar{
+		Caches: run.Caches, CPUs: run.CPUs,
+		Metrics: obs.FilterSnapshot(reg.Snapshot(), "tango."+app+".", "exp."+app+"."),
 	}
 	payload, err := encodeTraceEntry(sc, buf.Bytes())
 	if err != nil {

@@ -243,10 +243,13 @@ func TestProbeCacheCorruptTraceRegenerates(t *testing.T) {
 				t.Errorf("%s: damaged trace entry was not regenerated", app)
 			}
 		}
-		// The damaged trace entries themselves pass the store's CRC, so they
-		// count as hits before their container checks reject them.
-		if want := uint64(len(probeApps) * (len(analyzeSpecs()) + 1)); hurt.Hits() != want {
-			t.Errorf("%d hits, want %d: every probe entry and the damaged trace entries", hurt.Hits(), want)
+		// The damaged trace entries pass the store's CRC, but their
+		// container checks reject them, so each counts as a miss.
+		if want := uint64(len(probeApps) * len(analyzeSpecs())); hurt.Hits() != want {
+			t.Errorf("%d hits, want %d: every probe entry", hurt.Hits(), want)
+		}
+		if want := uint64(len(probeApps)); hurt.Misses() != want {
+			t.Errorf("%d misses, want %d: the damaged trace entries", hurt.Misses(), want)
 		}
 
 		// The regeneration rewrote the entries: the next sweep is all hits
