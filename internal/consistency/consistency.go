@@ -76,23 +76,20 @@ const (
 	Release                  // release synchronization (unlock, event set, barrier)
 )
 
+// kinds holds the ordering kind of every Op value; non-memory, non-sync
+// and undefined opcodes are 0.
+var kinds = func() (t [256]Kind) {
+	t[isa.OpLd] = Load
+	t[isa.OpSt] = Store
+	t[isa.OpLock], t[isa.OpWaitEv] = Acquire, Acquire
+	t[isa.OpUnlock], t[isa.OpSetEv] = Release, Release
+	t[isa.OpBarrier] = Acquire | Release
+	return t
+}()
+
 // KindOf maps an opcode to its ordering kind. Non-memory, non-sync opcodes
 // return 0.
-func KindOf(op isa.Op) Kind {
-	switch op {
-	case isa.OpLd:
-		return Load
-	case isa.OpSt:
-		return Store
-	case isa.OpLock, isa.OpWaitEv:
-		return Acquire
-	case isa.OpUnlock, isa.OpSetEv:
-		return Release
-	case isa.OpBarrier:
-		return Acquire | Release
-	}
-	return 0
-}
+func KindOf(op isa.Op) Kind { return kinds[op] }
 
 // reads reports whether the access behaves as a read when the model draws
 // no synchronization distinction (SC and PC treat an acquire as a read and

@@ -220,3 +220,32 @@ func TestLoadBypass(t *testing.T) {
 		}
 	}
 }
+
+// kindOfSwitch is KindOf as a multi-way branch, before it became a lookup
+// in kinds.
+func kindOfSwitch(op isa.Op) Kind {
+	switch op {
+	case isa.OpLd:
+		return Load
+	case isa.OpSt:
+		return Store
+	case isa.OpLock, isa.OpWaitEv:
+		return Acquire
+	case isa.OpUnlock, isa.OpSetEv:
+		return Release
+	case isa.OpBarrier:
+		return Acquire | Release
+	}
+	return 0
+}
+
+// TestKindTableMatchesSwitch checks KindOf for every one of the 256 Op
+// values, defined or not.
+func TestKindTableMatchesSwitch(t *testing.T) {
+	for v := 0; v < 256; v++ {
+		op := isa.Op(v)
+		if got, want := KindOf(op), kindOfSwitch(op); got != want {
+			t.Errorf("KindOf(%v) = %d, want %d", op, got, want)
+		}
+	}
+}

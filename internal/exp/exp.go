@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"time"
 
@@ -145,14 +146,19 @@ func (o *Options) fillDefaults() {
 	}
 }
 
-// AppRun couples a generated trace with the multiprocessor-side statistics.
-// The trace is the application's single decoded arena: generated (or
-// decoded from the result cache) once, frozen to exact size, and shared
-// read-only by every figure, sweep, and ablation cell that replays this
-// application.
+// AppRun couples an application's trace with the multiprocessor-side
+// statistics. The trace's durable form is its v3 bytes (raw): restored from
+// the result cache, kept from the store write of a generation, or encoded
+// when a storeless generation is first released. Trace is a cache of the
+// decoded events over those bytes, filled on demand. A sweep holds the run
+// while it replays the application's cells and lets go after the last one;
+// a run that no sweep holds drops its events, so a sweep keeps one decoded
+// trace per busy worker. A pinned run (one returned by Experiment.Run, or
+// built around a caller's trace) keeps its events for good, because its
+// callers read Trace directly, and needs no bytes.
 type AppRun struct {
 	App    string
-	Trace  *trace.Trace // always set by Run; nil in a lazyRun until decoded
+	Trace  *trace.Trace // set for good by Run; otherwise nil until decoded and after release
 	Caches []mem.Stats
 	CPUs   []tango.CPUStats
 
@@ -160,45 +166,111 @@ type AppRun struct {
 	// when the run went through the result cache; "" when caching is off.
 	addr string
 
-	// raw is a cached run's serialized trace, container checks passed,
-	// held until materialize decodes it into Trace; nil once decoded and
-	// for a generated run. A sweep whose cells all hit the store never
-	// decodes it.
-	raw    []byte
-	decode sync.Once
-	err    error
+	// mu guards Trace, raw, holds and pinned once the run is shared.
+	mu     sync.Mutex
+	raw    []byte // the trace's v3 bytes, container checks passed; nil until encoded and once pinned
+	holds  int    // sweeps replaying this run
+	pinned bool   // never drop the events: a caller reads Trace directly
+	err    error  // a failed decode; decoding is deterministic, so permanent
 }
+
+// testHookEvents, when non-nil, is called each time a run gains decoded
+// events (generated, or decoded from its bytes: held true) or drops them
+// (held false).
+var testHookEvents func(r *AppRun, held bool)
 
 // ContentAddr returns the trace's memoized content address, or "" when the
 // run was produced without the result cache.
 func (r *AppRun) ContentAddr() string { return r.addr }
 
-// materialize decodes a cached run's trace into Trace on first use. It is
-// safe for concurrent use; a generated or already decoded run returns at
-// once. Decoding is deterministic, so a failure is permanent.
-func (r *AppRun) materialize() error {
-	r.decode.Do(func() {
-		if r.raw == nil {
-			return
-		}
-		tr, err := trace.ReadTrace(bytes.NewReader(r.raw))
-		if err != nil {
-			r.err = &permanentError{fmt.Errorf("exp: %s: cached trace: %w", r.App, err)}
-		}
-		r.Trace, r.raw = tr, nil
-	})
-	return r.err
-}
-
-// view returns a read-only view of the decoded trace, decoding it first if
-// needed: a shallow *Trace whose Events slice is capacity-capped at its
-// length, so concurrent replay cells share the one decoded arena without
-// any cell being able to grow it or alias past its end.
+// view returns a read-only view of the decoded trace, decoding the run's
+// bytes first if its events are not held: a shallow *Trace whose Events
+// slice is capacity-capped at its length, so concurrent replay cells share
+// the one decoded arena without any cell being able to grow it or alias
+// past its end. The view stays valid after the run drops its events. It is
+// safe for concurrent use.
 func (r *AppRun) view() (*trace.Trace, error) {
-	if err := r.materialize(); err != nil {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := r.decodeLocked(); err != nil {
 		return nil, err
 	}
 	return r.Trace.View(), nil
+}
+
+// pin decodes the run's events, if they are not held, and keeps them for
+// good: the caller reads Trace directly. A pinned run never drops its
+// events, so it lets its bytes go.
+func (r *AppRun) pin() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.pinned = true
+	if err := r.decodeLocked(); err != nil {
+		return err
+	}
+	r.raw = nil
+	return nil
+}
+
+// decodeLocked decodes the run's bytes into Trace unless its events are
+// held. r.mu must be held.
+func (r *AppRun) decodeLocked() error {
+	if r.Trace != nil || r.err != nil {
+		return r.err
+	}
+	tr, err := trace.ReadTrace(bytes.NewReader(r.raw))
+	if err != nil {
+		r.err = &permanentError{fmt.Errorf("exp: %s: cached trace: %w", r.App, err)}
+		return r.err
+	}
+	r.Trace = tr
+	if h := testHookEvents; h != nil {
+		h(r, true)
+	}
+	return nil
+}
+
+// hold marks the run as replayed by one more sweep.
+func (r *AppRun) hold() {
+	r.mu.Lock()
+	r.holds++
+	r.mu.Unlock()
+}
+
+// release ends one sweep's hold. When no sweep holds the run and it is not
+// pinned, it drops its events, encoding its bytes first if it has none,
+// and collects the heap. Both collections keep the heap from growing: the
+// one before the encode frees what the generation left behind, so the
+// encoding reuses its pages; without the one after the drop, the heap goal
+// set while the events were live lets the next decode grow the heap
+// instead of reusing theirs.
+func (r *AppRun) release() {
+	r.mu.Lock()
+	r.holds--
+	drop := r.holds == 0 && !r.pinned && r.Trace != nil
+	if drop && r.raw == nil {
+		runtime.GC()
+		r.raw = encodeTrace(r.Trace)
+	}
+	if drop {
+		r.Trace = nil
+		if h := testHookEvents; h != nil {
+			h(r, false)
+		}
+	}
+	r.mu.Unlock()
+	if drop {
+		runtime.GC()
+	}
+}
+
+// encodeTrace serializes tr into a buffer first grown to about its v3 size
+// (eight bytes per event), so the encoding is copied once.
+func encodeTrace(tr *trace.Trace) []byte {
+	var buf bytes.Buffer
+	buf.Grow(8 * tr.Len())
+	tr.WriteTo(&buf) //nolint:errcheck // a bytes.Buffer never fails a write
+	return buf.Bytes()
 }
 
 // Experiment lazily generates and caches application traces.
@@ -231,28 +303,31 @@ func New(opts Options) *Experiment {
 // Options returns the harness options (defaults filled).
 func (e *Experiment) Options() Options { return e.opts }
 
-// Run returns the decoded trace for app, generating it on first use (see
-// lazyRun). It is safe for concurrent use.
+// Run returns the run for app with its trace decoded, generating it on
+// first use (see lazyRun). The run is pinned: its Trace stays decoded for
+// the life of the Experiment, through every later sweep, so the caller may
+// read it directly. It is safe for concurrent use.
 func (e *Experiment) Run(app string) (*AppRun, error) {
 	run, err := e.lazyRun(app)
 	if err != nil {
 		return nil, err
 	}
-	if err := run.materialize(); err != nil {
+	if err := run.pin(); err != nil {
 		return nil, err
 	}
 	return run, nil
 }
 
 // lazyRun returns the run for app, generating it on first use, with a
-// trace restored from the result cache left undecoded until a replay or a
-// table needs it. It is safe for concurrent use: the first caller
-// generates, everyone else waits for that single flight. A panic during
-// generation is contained here — it would otherwise poison the once and
-// hand every later caller a silent (nil, nil). Failures are cached as
-// permanent: the single flight would return the identical error without
-// re-running anything, so retrying a cell against a failed generation is
-// pointless and attempt() skips it.
+// trace restored from the result cache left undecoded until a replay
+// needs it. Sweeps take their runs here, hold them while they replay and
+// release them after (see AppRun). It is safe for concurrent use: the
+// first caller generates, everyone else waits for that single flight. A
+// panic during generation is contained here — it would otherwise poison
+// the once and hand every later caller a silent (nil, nil). Failures are
+// cached as permanent: the single flight would return the identical error
+// without re-running anything, so retrying a cell against a failed
+// generation is pointless and attempt() skips it.
 func (e *Experiment) lazyRun(app string) (*AppRun, error) {
 	e.mu.Lock()
 	en := e.runs[app]
@@ -379,6 +454,9 @@ func (e *Experiment) generate(app string) (run *AppRun, err error) {
 		return nil, fmt.Errorf("exp: %s: %w", app, err)
 	}
 	run = &AppRun{App: app, Trace: res.Trace, Caches: res.CacheStats, CPUs: res.CPUStats}
+	if h := testHookEvents; h != nil {
+		h(run, true)
+	}
 	e.putTrace(app, run, reg)
 	return run, nil
 }
@@ -387,7 +465,7 @@ func (e *Experiment) generate(app string) (run *AppRun, err error) {
 // serialized trace, the multiprocessor statistics, and the metrics fragment
 // the original generation published — so a warm run's registry hashes
 // identically to a cold one's. The trace's container checks run here, but
-// its events are decoded only on first use (AppRun.materialize). Any
+// its events are decoded only on first use (AppRun.view). Any
 // failure is a miss and falls back to regenerating. job is the
 // generation's board entry, finished as "cached" on a hit.
 func (e *Experiment) cachedTrace(app string, job int) *AppRun {
@@ -430,23 +508,21 @@ func (e *Experiment) cachedTrace(app string, job int) *AppRun {
 }
 
 // putTrace stores a freshly generated run in the result cache, with the
-// metrics fragment the generation published into reg, and memoizes its
-// content address. Failures degrade to a future regeneration.
+// metrics fragment the generation published into reg, and keeps the
+// encoded bytes as the run's durable form with their content address.
+// Failures degrade to a future regeneration.
 func (e *Experiment) putTrace(app string, run *AppRun, reg *obs.Registry) {
 	s := e.opts.Cache
 	if s == nil {
 		return
 	}
-	var buf bytes.Buffer
-	if _, err := run.Trace.WriteTo(&buf); err != nil {
-		return
-	}
-	run.addr = traceAddrBytes(buf.Bytes())
+	run.raw = encodeTrace(run.Trace)
+	run.addr = traceAddrBytes(run.raw)
 	sc := traceSidecar{
 		Caches: run.Caches, CPUs: run.CPUs,
 		Metrics: obs.FilterSnapshot(reg.Snapshot(), "tango."+app+".", "exp."+app+"."),
 	}
-	payload, err := encodeTraceEntry(sc, buf.Bytes())
+	payload, err := encodeTraceEntry(sc, run.raw)
 	if err != nil {
 		return
 	}
@@ -533,9 +609,10 @@ func normalize(cols []Column) {
 }
 
 // traceMatrix replays specs over one supplied trace through the matrix
-// driver, fanning the independent replays across GOMAXPROCS workers.
+// driver, fanning the independent replays across GOMAXPROCS workers. The
+// run is pinned: the trace is the caller's, so the sweep never drops it.
 func traceMatrix(tr *trace.Trace, specs []CellSpec) ([]Column, error) {
-	run := &AppRun{Trace: tr}
+	run := &AppRun{Trace: tr, pinned: true}
 	acs, _, err := runMatrix(new(Options), []string{""}, func(string) (*AppRun, error) { return run, nil }, specs, noProbe)
 	if acs == nil {
 		return nil, err

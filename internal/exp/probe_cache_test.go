@@ -85,12 +85,13 @@ var probeSweeps = []probeSweep{
 }
 
 // assertUndecoded fails unless every application's run came from the store
-// and its trace was never decoded.
-func assertUndecoded(t *testing.T, e *Experiment) {
+// and its trace was never decoded while w watched: no run's events
+// appeared, by generation or by decoding, and each run holds only bytes.
+func assertUndecoded(t *testing.T, e *Experiment, w *eventWatch) {
 	t.Helper()
+	_, gains := w.stats()
 	for _, app := range e.Apps() {
-		run := e.runs[app].run
-		if run.Trace != nil || run.raw == nil {
+		if events, bytes := heldState(e, app); gains[app] != 0 || events || !bytes {
 			t.Errorf("%s: trace decoded (or regenerated) by a sweep whose cells all hit", app)
 		}
 	}
@@ -136,6 +137,7 @@ func TestProbeCacheSharedAcrossSweeps(t *testing.T) {
 					}
 				}
 				e := New(opts)
+				w := watchEvents(t)
 				got, err = second.run(t, e)
 				if err != nil {
 					t.Fatalf("warm %s: %v", second.name, err)
@@ -151,7 +153,7 @@ func TestProbeCacheSharedAcrossSweeps(t *testing.T) {
 				if lookups := uint64(len(probeApps) * (len(analyzeSpecs()) + 1)); warm.Hits() != lookups || warm.Misses() != 0 {
 					t.Errorf("warm %s: %d hits, %d misses; want %d hits, no misses", second.name, warm.Hits(), warm.Misses(), lookups)
 				}
-				assertUndecoded(t, e)
+				assertUndecoded(t, e, w)
 			})
 		}
 	}
@@ -167,6 +169,7 @@ func TestWarmSweepDecodesNoTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(probeOpts(openStore(t, dir), 2))
+	w := watchEvents(t)
 	warm, err := e.Figure3All()
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +177,7 @@ func TestWarmSweepDecodesNoTrace(t *testing.T) {
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatal("warm columns differ from cold")
 	}
-	assertUndecoded(t, e)
+	assertUndecoded(t, e, w)
 
 	rows, err := e.Table1()
 	if err != nil {
@@ -238,13 +241,9 @@ func TestProbeCacheCorruptTraceRegenerates(t *testing.T) {
 		if got != want {
 			t.Fatal("a damaged trace entry changed the report")
 		}
-		for _, app := range probeApps {
-			if run := e.runs[app].run; run.raw != nil || run.Trace == nil {
-				t.Errorf("%s: damaged trace entry was not regenerated", app)
-			}
-		}
 		// The damaged trace entries pass the store's CRC, but their
-		// container checks reject them, so each counts as a miss.
+		// container checks reject them, so each counts as a miss and is
+		// regenerated.
 		if want := uint64(len(probeApps) * len(analyzeSpecs())); hurt.Hits() != want {
 			t.Errorf("%d hits, want %d: every probe entry", hurt.Hits(), want)
 		}
@@ -256,13 +255,14 @@ func TestProbeCacheCorruptTraceRegenerates(t *testing.T) {
 		// and decodes nothing.
 		again := openStore(t, dir)
 		e = New(probeOpts(again, 2))
+		w := watchEvents(t)
 		if got, err := sw.run(t, e); err != nil || got != want {
 			t.Fatalf("rewritten store diverged (err %v)", err)
 		}
 		if again.Misses() != 0 {
 			t.Fatalf("rewritten store missed %d lookups", again.Misses())
 		}
-		assertUndecoded(t, e)
+		assertUndecoded(t, e, w)
 	})
 
 	t.Run("bit-flipped-store", func(t *testing.T) {

@@ -106,8 +106,11 @@ func cellSite(app string, p probe, label string) string {
 // cell's outcome (the probe's instruments), both indexed [app][cell].
 // Trace generation and replay are pipelined through one worker pool: every
 // application's generation (gen) is enqueued up front, and the moment a
-// generation completes its replay cells become claimable, so workers
-// replay finished traces while other applications are still generating.
+// generation completes its replay cells become claimable, ahead of the
+// generations still queued. The sweep holds each application's run from
+// its generation until its last cell finishes — hit, miss or failure — and
+// then releases it, so a run that nothing else uses drops its decoded
+// events and the sweep holds at most one decoded trace per worker.
 // Every cell runs under the full containment stack — fault-injection site,
 // panic isolation, retry — with fresh instruments per attempt. Every cell
 // goes through the result cache, plain cells as cell entries and probed
@@ -199,49 +202,81 @@ func runMatrix(o *Options, apps []string, gen func(app string) (*AppRun, error),
 		}
 	}
 
-	// The job stream: c == -1 generates app a's trace; c >= 0 replays one
-	// cell over it. The channel is buffered for every job that can ever
-	// exist, so workers (which enqueue an app's cells after generating its
-	// trace) never block on the send. pending counts enqueued-but-unfinished
-	// jobs; a generation adds its cells before retiring itself, so the count
-	// can only reach zero when the whole matrix is done.
+	// The job queue: c == -1 generates app a's trace; c >= 0 replays one
+	// cell over it. Queued cells are taken before generations, so a worker
+	// starts a new application only when no cell of a generated one is
+	// waiting: at -j 1 each application's cells finish before the next one
+	// generates, and at -j N at most N traces are decoded at once. pending
+	// counts queued and running jobs; a generation queues its cells before
+	// retiring itself, so the count reaches zero only when the whole
+	// matrix is done. left[a] counts application a's unfinished cells; the
+	// sweep holds a's run from its generation until the last of them.
 	type job struct{ a, c int }
-	jobs := make(chan job, len(apps)*(nc+1))
 	var (
-		pending atomic.Int64
+		mu      sync.Mutex
+		ready   = sync.NewCond(&mu)
+		cells   []job
+		nextGen int
+		pending = len(apps)
+		left    = make([]atomic.Int64, len(apps))
 		wg      sync.WaitGroup
 	)
-	pending.Store(int64(len(apps)))
-	done := func() {
-		if pending.Add(-1) == 0 {
-			close(jobs)
+	take := func() (job, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		for {
+			switch {
+			case len(cells) > 0:
+				j := cells[0]
+				cells = cells[1:]
+				return j, true
+			case nextGen < len(apps):
+				nextGen++
+				return job{nextGen - 1, -1}, true
+			case pending == 0:
+				return job{}, false
+			}
+			ready.Wait()
 		}
 	}
-	for a := range apps {
-		jobs <- job{a, -1}
+	// finish retires a job, first queueing the cells of an application
+	// whose generation it completed.
+	finish := func(a, queue int) {
+		mu.Lock()
+		for c := 0; c < queue; c++ {
+			cells = append(cells, job{a, c})
+		}
+		pending += queue - 1
+		if queue > 0 || pending == 0 {
+			ready.Broadcast()
+		}
+		mu.Unlock()
 	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
+			for j, ok := take(); ok; j, ok = take() {
+				queue := 0
 				switch err := ctxDone(o.Ctx); {
-				case err != nil:
-					if j.c < 0 {
-						genErrs[j.a] = err
-					}
 				case j.c >= 0:
-					replayCell(j.a, j.c)
+					if err == nil {
+						replayCell(j.a, j.c)
+					}
+					if left[j.a].Add(-1) == 0 {
+						runs[j.a].release()
+					}
+				case err != nil:
+					genErrs[j.a] = err
 				default:
 					runs[j.a], genErrs[j.a] = gen(apps[j.a])
-					if genErrs[j.a] == nil {
-						pending.Add(int64(nc))
-						for c := 0; c < nc; c++ {
-							jobs <- job{j.a, c}
-						}
+					if genErrs[j.a] == nil && nc > 0 {
+						runs[j.a].hold()
+						left[j.a].Store(int64(nc))
+						queue = nc
 					}
 				}
-				done()
+				finish(j.a, queue)
 			}
 		}()
 	}

@@ -149,23 +149,41 @@ const (
 	ClassHalt                // thread termination
 )
 
-// Classify returns the timing class of the opcode.
-func Classify(op Op) Class {
-	switch op {
-	case OpLd:
-		return ClassLoad
-	case OpSt:
-		return ClassStore
-	case OpBeqz, OpBnez, OpJ:
-		return ClassBranch
-	case OpLock, OpUnlock, OpBarrier, OpWaitEv, OpSetEv:
-		return ClassSync
-	case OpHalt:
-		return ClassHalt
-	default:
-		return ClassALU
-	}
+// opProps are the properties of an opcode that the timing models and the
+// simulators read once per instruction.
+type opProps struct {
+	class Class
+	dest  bool  // writes Dst (when Dst is not the zero register)
+	srcs  uint8 // reads Src1 (srcs >= 1) and Src2 (srcs == 2)
 }
+
+// opTable holds the properties of every Op value, so each lookup is one
+// unchecked index. An undefined opcode is an ALU operation writing Dst
+// and reading both sources.
+var opTable = func() (t [256]opProps) {
+	for op := range t {
+		t[op] = opProps{class: ClassALU, dest: true, srcs: 2}
+	}
+	set := func(class Class, dest bool, srcs uint8, ops ...Op) {
+		for _, op := range ops {
+			t[op] = opProps{class, dest, srcs}
+		}
+	}
+	set(ClassALU, false, 0, OpNop)
+	set(ClassALU, true, 0, OpLi)
+	set(ClassALU, true, 1, OpMov, OpFNeg, OpFAbs, OpFSqr, OpCvtIF, OpCvtFI,
+		OpAddi, OpMuli, OpAndi, OpShli, OpShri, OpSlti)
+	set(ClassLoad, true, 1, OpLd)
+	set(ClassStore, false, 2, OpSt) // address base and data
+	set(ClassBranch, false, 1, OpBeqz, OpBnez)
+	set(ClassBranch, false, 0, OpJ)
+	set(ClassHalt, false, 0, OpHalt)
+	set(ClassSync, false, 1, OpLock, OpUnlock, OpBarrier, OpWaitEv, OpSetEv)
+	return t
+}()
+
+// Classify returns the timing class of the opcode.
+func Classify(op Op) Class { return opTable[op].class }
 
 // IsLoad reports whether the opcode reads memory.
 func IsLoad(op Op) bool { return op == OpLd }
@@ -211,39 +229,17 @@ func IsMem(op Op) bool {
 }
 
 // HasDest reports whether the instruction writes a destination register.
-func (i Instr) HasDest() bool {
-	if i.Dst == Zero {
-		return false
-	}
-	switch Classify(i.Op) {
-	case ClassALU, ClassLoad:
-		return i.Op != OpNop
-	}
-	return false
-}
+func (i Instr) HasDest() bool { return i.Dst != Zero && opTable[i.Op].dest }
 
 // SrcRegs appends the source registers the instruction reads (excluding the
 // zero register) to dst and returns the result. The slice has at most two
 // elements.
 func (i Instr) SrcRegs(dst []uint8) []uint8 {
-	uses1, uses2 := false, false
-	switch i.Op {
-	case OpNop, OpLi, OpJ, OpHalt:
-		// no register sources
-	case OpMov, OpFNeg, OpFAbs, OpFSqr, OpCvtIF, OpCvtFI,
-		OpAddi, OpMuli, OpAndi, OpShli, OpShri, OpSlti,
-		OpLd, OpBeqz, OpBnez, OpLock, OpUnlock,
-		OpBarrier, OpWaitEv, OpSetEv:
-		uses1 = true
-	case OpSt:
-		uses1, uses2 = true, true // address base and data
-	default:
-		uses1, uses2 = true, true
-	}
-	if uses1 && i.Src1 != Zero {
+	srcs := opTable[i.Op].srcs
+	if srcs >= 1 && i.Src1 != Zero {
 		dst = append(dst, i.Src1)
 	}
-	if uses2 && i.Src2 != Zero {
+	if srcs == 2 && i.Src2 != Zero {
 		dst = append(dst, i.Src2)
 	}
 	return dst

@@ -2,6 +2,7 @@ package isa
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -233,6 +234,80 @@ func TestInstrString(t *testing.T) {
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {
 			t.Errorf("String(%+v) = %q, want %q", c.in, got, c.want)
+		}
+	}
+}
+
+// classifySwitch, hasDestSwitch and srcRegsSwitch are Classify, HasDest and
+// SrcRegs as multi-way branches, before they became lookups in opTable.
+func classifySwitch(op Op) Class {
+	switch op {
+	case OpLd:
+		return ClassLoad
+	case OpSt:
+		return ClassStore
+	case OpBeqz, OpBnez, OpJ:
+		return ClassBranch
+	case OpLock, OpUnlock, OpBarrier, OpWaitEv, OpSetEv:
+		return ClassSync
+	case OpHalt:
+		return ClassHalt
+	default:
+		return ClassALU
+	}
+}
+
+func hasDestSwitch(i Instr) bool {
+	if i.Dst == Zero {
+		return false
+	}
+	switch classifySwitch(i.Op) {
+	case ClassALU, ClassLoad:
+		return i.Op != OpNop
+	}
+	return false
+}
+
+func srcRegsSwitch(i Instr, dst []uint8) []uint8 {
+	uses1, uses2 := false, false
+	switch i.Op {
+	case OpNop, OpLi, OpJ, OpHalt:
+	case OpMov, OpFNeg, OpFAbs, OpFSqr, OpCvtIF, OpCvtFI,
+		OpAddi, OpMuli, OpAndi, OpShli, OpShri, OpSlti,
+		OpLd, OpBeqz, OpBnez, OpLock, OpUnlock,
+		OpBarrier, OpWaitEv, OpSetEv:
+		uses1 = true
+	case OpSt:
+		uses1, uses2 = true, true
+	default:
+		uses1, uses2 = true, true
+	}
+	if uses1 && i.Src1 != Zero {
+		dst = append(dst, i.Src1)
+	}
+	if uses2 && i.Src2 != Zero {
+		dst = append(dst, i.Src2)
+	}
+	return dst
+}
+
+// TestOpTableMatchesSwitches checks every one of the 256 Op values, defined
+// or not, with each register operand zero and non-zero: the table answers
+// exactly as the switches did.
+func TestOpTableMatchesSwitches(t *testing.T) {
+	for v := 0; v < 256; v++ {
+		op := Op(v)
+		if got, want := Classify(op), classifySwitch(op); got != want {
+			t.Errorf("Classify(%v) = %v, want %v", op, got, want)
+		}
+		for _, regs := range [][3]uint8{{0, 0, 0}, {5, 0, 0}, {0, 6, 0}, {0, 0, 7}, {5, 6, 7}} {
+			in := Instr{Op: op, Dst: regs[0], Src1: regs[1], Src2: regs[2]}
+			if got, want := in.HasDest(), hasDestSwitch(in); got != want {
+				t.Errorf("HasDest(%+v) = %t, want %t", in, got, want)
+			}
+			if got, want := in.SrcRegs(nil), srcRegsSwitch(in, nil); !slices.Equal(got, want) {
+				t.Errorf("SrcRegs(%+v) = %v, want %v", in, got, want)
+			}
 		}
 	}
 }
